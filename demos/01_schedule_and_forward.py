@@ -7,7 +7,7 @@ toward pure noise while the condition keeps riding along.
 
 import numpy as np
 
-from residiff import build_linear_schedule, lookup, q_sample
+from residiff import build_linear_schedule, q_sample
 from residiff.forward import posterior_mean_eps, posterior_mean_z0
 
 rng = np.random.default_rng(0)
@@ -16,10 +16,11 @@ rng = np.random.default_rng(0)
 # 1. The schedule: beta ramps linearly; alpha_cum is its running product.
 sched = build_linear_schedule(T=10, beta_min=1e-4, beta_max=0.2)
 print("step  beta      alpha_step  alpha_cum  beta_tilde")
+# beta, alpha_step and beta_tilde are indexed by step t via [t-1];
+# alpha_cum has the extra alpha_cum[0] = 1 and is indexed by t directly.
 for t in range(1, 11):
-    c = lookup(sched, t)
-    print(f"{t:4d}  {c.beta:.6f}  {c.alpha_step:.6f}   {c.alpha_cum:.6f}"
-          f"   {c.beta_tilde:.6f}")
+    print(f"{t:4d}  {sched.beta[t - 1]:.6f}  {sched.alpha_step[t - 1]:.6f}"
+          f"   {sched.alpha_cum[t]:.6f}   {sched.beta_tilde[t - 1]:.6f}")
 
 # ---------------------------------------------------------------------------
 # 2. Diffusing a residual grid: the signal coefficient decays as
@@ -32,12 +33,12 @@ for t in (1, 5, 10):
         q_sample(z0m, z0c, t, rng.standard_normal((6, 4)), sched)
         for _ in range(2000)
     ])
-    c = lookup(sched, t)
-    print(f"  t={t:2d}: signal coef {np.sqrt(c.alpha_cum):.3f}"
+    acum = sched.alpha_cum[t]
+    print(f"  t={t:2d}: signal coef {np.sqrt(acum):.3f}"
           f"  empirical mean[0,0] {draws[:, 0, 0].mean():+.3f}"
-          f"  vs exact {np.sqrt(c.alpha_cum) * (z0m[0, 0] + z0c[0, 0]):+.3f}"
+          f"  vs exact {np.sqrt(acum) * (z0m[0, 0] + z0c[0, 0]):+.3f}"
           f"  | noise std {draws[:, 0, 0].std():.3f}"
-          f" vs {np.sqrt(1 - c.alpha_cum):.3f}")
+          f" vs {np.sqrt(1 - acum):.3f}")
 
 # ---------------------------------------------------------------------------
 # 3. The two posterior-mean forms agree once the forward sample is plugged

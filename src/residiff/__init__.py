@@ -7,10 +7,10 @@ imputations.  Exact linear-Gaussian oracles audit every closed-form formula.
 """
 
 from .data import Graph, MaskedGrid, SynthParams, mask_block, mask_node, mask_point, metrics, synth_generate
-from .forward import ConditionGrid, NoiseGrid, ResidualGrid, elbo_diagnostics, posterior_mean_eps, posterior_mean_z0, q_sample, q_step_sample
+from .forward import elbo_diagnostics, posterior_mean_eps, posterior_mean_z0, q_sample, q_step_sample
 from .initial import InitialModel, impute_initial, init_loss, residual_and_condition
-from .sampler import ImputationResult, accelerated_impute, ancestral_impute, ddim_coeffs
-from .schedule import NoiseSchedule, build_linear_schedule, lookup
+from .sampler import ImputationResult, accelerated_impute, ancestral_impute, jump_coeffs
+from .schedule import NoiseSchedule, build_linear_schedule
 from .trainer import Checkpoint, TrainConfig, load_checkpoint, pretrain_initial, save_checkpoint, train_joint
 
 __version__ = "0.1.0"
@@ -24,9 +24,6 @@ __all__ = [
     "mask_point",
     "metrics",
     "synth_generate",
-    "ConditionGrid",
-    "NoiseGrid",
-    "ResidualGrid",
     "elbo_diagnostics",
     "posterior_mean_eps",
     "posterior_mean_z0",
@@ -39,10 +36,9 @@ __all__ = [
     "ImputationResult",
     "accelerated_impute",
     "ancestral_impute",
-    "ddim_coeffs",
+    "jump_coeffs",
     "NoiseSchedule",
     "build_linear_schedule",
-    "lookup",
     "Checkpoint",
     "TrainConfig",
     "load_checkpoint",

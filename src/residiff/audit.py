@@ -133,14 +133,17 @@ def _loss_weight(rng):
 
 
 def _jump_identity(rng):
+    """A state on the forward marginal at t keeps noise variance
+    1 - alpha_cum_{t-1} after the jump, whatever the jump noise std."""
     worst = 0.0
     for sched in _random_schedules(rng, (2, 5, 50)):
         for t in range(1, sched.T + 1):
             acum_prev = float(sched.alpha_cum[t - 1])
             acum = float(sched.alpha_cum[t])
             d = rng.uniform(0, np.sqrt(1.0 - acum_prev)) if acum_prev < 1 else 0.0
-            c = sp.ddim_coeffs(t, d, sched)
-            worst = max(worst, abs(c.a**2 * (1.0 - acum) + c.d**2 - (1.0 - acum_prev)))
+            c_z, c_eps = sp.jump_coeffs(t, t - 1, d, sched)
+            noise_var = (c_z * np.sqrt(1.0 - acum) + c_eps) ** 2 + d**2
+            worst = max(worst, abs(noise_var - (1.0 - acum_prev)))
     return _audit("jump_coefficient_identity", worst, 1e-14)
 
 

@@ -89,8 +89,13 @@ def resolve_config(args: argparse.Namespace, overrides: list[str]) -> RunConfig:
     field_types = {f.name: f.type for f in fields(RunConfig)}
     base: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(base, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(base) - set(field_types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -164,7 +169,8 @@ def _echo_config(out: _OutputDir, cfg: RunConfig):
         fh.write("\n")
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: RunConfig, n_window: int | None = None):
+    """Load ``--data``; ``n_window`` (default ``--n-window``) sets the window index."""
     if not cfg.data:
         raise ConfigError("--data directory is required")
     d = Path(cfg.data)
@@ -179,7 +185,7 @@ def _load_dataset(cfg: RunConfig):
         adjacency,
         mask_path=observed if observed.exists() else None,
         eval_mask_path=eval_mask if eval_mask.exists() else None,
-        n_window=cfg.n_window,
+        n_window=n_window or cfg.n_window,
     )
 
 
@@ -246,13 +252,7 @@ def _cmd_pretrain(cfg: RunConfig, out: _OutputDir) -> int:
 
     ckpt = Checkpoint(
         sched=build_linear_schedule(tcfg.t_steps, tcfg.beta_min, tcfg.beta_max),
-        denoiser=dn.init_params(
-            dn.DenoiserConfig(n_window=tcfg.n_window, n_nodes=grid.shape[1],
-                              n_steps=tcfg.t_steps, d=tcfg.d,
-                              conv_width=tcfg.conv_width,
-                              head_count=tcfg.head_count),
-            rng,
-        ),
+        denoiser=dn.init_params(tcfg.denoiser_config(grid.shape[1]), rng),
         initial=model, stats=stats, config=tcfg,
     )
     save_checkpoint(ckpt, out.file("checkpoint.bin"))
@@ -278,8 +278,13 @@ def _write_grid_csv(path: Path, values, grid: dt.MaskedGrid):
 def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
     if not cfg.checkpoint:
         raise ConfigError("--checkpoint path is required")
-    grid, graph = _load_dataset(cfg)
     ckpt = load_checkpoint(cfg.checkpoint)
+    # the checkpoint fixes the geometry: window length and node count
+    geometry = ckpt.denoiser.config
+    grid, graph = _load_dataset(cfg, geometry.n_window)
+    if grid.shape[1] != geometry.n_nodes:
+        raise DataError(f"dataset has {grid.shape[1]} nodes, checkpoint "
+                        f"{cfg.checkpoint} was trained on {geometry.n_nodes}")
     rng = np.random.default_rng(cfg.seed)
     if cfg.sampler == "ancestral":
         result = sp.ancestral_impute(ckpt, grid, graph, cfg.samples, rng)

@@ -146,17 +146,8 @@ def load_csv(values_path, adjacency_path, mask_path=None, eval_mask_path=None,
     Missing cells may be encoded as empty strings or NaN; a mask file, when
     given, must agree in shape and is intersected with value finiteness.
     """
-    header, rows = _read_table(values_path, "values")
-    node_ids = header[1:]
-    n = len(node_ids)
-    L = len(rows)
-    values = np.full((L, n), np.nan)
-    timestamps = np.zeros(L)
-    for i, row in enumerate(rows):
-        timestamps[i] = _parse_timestamp(row[0])
-        for j, tok in enumerate(row[1:]):
-            tok = tok.strip()
-            values[i, j] = float(tok) if tok not in ("", "nan", "NaN") else np.nan
+    values, timestamps, node_ids = load_values_csv(values_path)
+    L, n = values.shape
     observed = np.isfinite(values)
     if mask_path is not None:
         observed &= _load_mask(mask_path, (L, n))
@@ -427,23 +418,27 @@ class NormStats:
     std: np.ndarray  # (N,)
 
 
-def normalize(grid: MaskedGrid) -> tuple[MaskedGrid, NormStats]:
-    """Per-node z-score from visible cells; degenerate stds fall back to 1."""
-    vis = grid.visible_mask
-    n = grid.shape[1]
-    mean = np.zeros(n)
-    std = np.ones(n)
-    for j in range(n):
-        col = grid.values[vis[:, j], j]
-        if col.size:
-            mean[j] = col.mean()
-        if col.size >= 2:
-            s = col.std()
-            if s > 1e-12:
-                std[j] = s
-    values = (grid.values - mean[None, :]) / std[None, :]
+def normalize(grid: MaskedGrid, stats: NormStats | None = None) -> tuple[MaskedGrid, NormStats]:
+    """Per-node z-score; unobserved cells become 0.
+
+    Without ``stats`` they are taken from the visible cells, and degenerate
+    stds fall back to 1.
+    """
+    if stats is None:
+        vis = grid.visible_mask
+        n = grid.shape[1]
+        stats = NormStats(mean=np.zeros(n), std=np.ones(n))
+        for j in range(n):
+            col = grid.values[vis[:, j], j]
+            if col.size:
+                stats.mean[j] = col.mean()
+            if col.size >= 2:
+                s = col.std()
+                if s > 1e-12:
+                    stats.std[j] = s
+    values = (grid.values - stats.mean[None, :]) / stats.std[None, :]
     values = np.where(grid.observed_mask, values, 0.0)
-    return replace(grid, values=values), NormStats(mean=mean, std=std)
+    return replace(grid, values=values), stats
 
 
 def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:

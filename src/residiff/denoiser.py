@@ -270,9 +270,4 @@ def batch_loss(params: DenoiserParams, graph, z_t, z0c, t, eps, target_mask,
     adj = getattr(graph, "adjacency", graph)
     a_hat = normalized_adjacency(adj)
     eps_hat = forward(params, params.config, z_t, z0c, t, a_hat, time_index)
-    mask = np.asarray(target_mask, dtype=np.float64)
-    count = mask.sum()
-    if count == 0:
-        raise ValueError("empty target mask: mean squared error undefined")
-    diff = np.asarray(eps) - eps_hat
-    return float(np.sum(diff * diff * mask) / count)
+    return float(masked_mse(eps_hat, np.asarray(eps, dtype=np.float64), target_mask))

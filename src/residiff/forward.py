@@ -26,9 +26,6 @@ from . import autodiff as ad
 from .schedule import NoiseSchedule
 
 __all__ = [
-    "ResidualGrid",
-    "ConditionGrid",
-    "NoiseGrid",
     "q_sample",
     "q_step_sample",
     "posterior_mean_z0",
@@ -38,46 +35,6 @@ __all__ = [
     "ElboDiagnostics",
     "elbo_diagnostics",
 ]
-
-
-@dataclass
-class ResidualGrid:
-    """Residual diffusion target: zero-filled outside target cells."""
-
-    values: object  # ndarray or autodiff.Tensor, time x node
-    target_mask: np.ndarray
-
-    def __post_init__(self):
-        if isinstance(self.values, np.ndarray) and not np.all(np.isfinite(self.values)):
-            raise ValueError("residual grid contains non-finite values")
-
-
-@dataclass
-class ConditionGrid:
-    """Condition grid (initial imputation on target cells, zero elsewhere)."""
-
-    values: object
-    target_mask: np.ndarray
-
-
-@dataclass
-class NoiseGrid:
-    """Standard-normal draws, full grid."""
-
-    values: np.ndarray
-
-
-def _values(x):
-    if isinstance(x, (ResidualGrid, ConditionGrid, NoiseGrid)):
-        return x.values
-    return x
-
-
-def _mask_from(*grids):
-    for g in grids:
-        if isinstance(g, (ResidualGrid, ConditionGrid)) and g.target_mask is not None:
-            return g.target_mask
-    return None
 
 
 def _check_t(sched: NoiseSchedule, t) -> np.ndarray:
@@ -121,26 +78,20 @@ def q_sample(z0m, z0c, t, eps, sched: NoiseSchedule, target_mask=None):
     ``t`` may be a scalar step or an int array matching the leading axis of
     batched grids.  The result is zeroed outside target cells.
     """
-    z0m_v, z0c_v, eps_v = _values(z0m), _values(z0c), _values(eps)
-    if target_mask is None:
-        target_mask = _mask_from(z0m, z0c)
-    _, _, _, acum = _coeffs(sched, t, _grid_ndim(z0m_v))
+    _, _, _, acum = _coeffs(sched, t, _grid_ndim(z0m))
     out = ad.add(
-        ad.mul(np.sqrt(acum), ad.add(z0m_v, z0c_v)),
-        ad.mul(np.sqrt(1.0 - acum), eps_v),
+        ad.mul(np.sqrt(acum), ad.add(z0m, z0c)),
+        ad.mul(np.sqrt(1.0 - acum), eps),
     )
     return _apply_mask(out, target_mask)
 
 
 def q_step_sample(z_prev, z0c, t, eps, sched: NoiseSchedule, target_mask=None):
     """Single forward transition; verification-only (see module docstring)."""
-    z_prev_v, z0c_v, eps_v = _values(z_prev), _values(z0c), _values(eps)
-    if target_mask is None:
-        target_mask = _mask_from(z0c)
-    beta, astep, _, _ = _coeffs(sched, t, _grid_ndim(z_prev_v))
+    beta, astep, _, _ = _coeffs(sched, t, _grid_ndim(z_prev))
     out = ad.add(
-        ad.mul(np.sqrt(astep), ad.add(z_prev_v, z0c_v)),
-        ad.mul(np.sqrt(beta), eps_v),
+        ad.mul(np.sqrt(astep), ad.add(z_prev, z0c)),
+        ad.mul(np.sqrt(beta), eps),
     )
     return _apply_mask(out, target_mask)
 
@@ -151,17 +102,14 @@ def posterior_mean_z0(z_t, z0m, z0c, t, sched: NoiseSchedule, target_mask=None):
     At t = 1 this is exactly z0m + z0c for any z_t (alpha_cum[0] = 1 makes
     the z_t coefficient vanish).
     """
-    z_t_v, z0m_v, z0c_v = _values(z_t), _values(z0m), _values(z0c)
-    if target_mask is None:
-        target_mask = _mask_from(z0m, z0c)
-    beta, astep, acum_prev, acum = _coeffs(sched, t, _grid_ndim(z_t_v))
+    beta, astep, acum_prev, acum = _coeffs(sched, t, _grid_ndim(z_t))
     denom = 1.0 - acum
     c_zt = np.sqrt(astep) * (1.0 - acum_prev) / denom
     c_z0m = np.sqrt(acum_prev) * beta / denom
     c_z0c = (np.sqrt(acum_prev) * beta - astep * (1.0 - acum_prev)) / denom
     out = ad.add(
-        ad.add(ad.mul(c_zt, z_t_v), ad.mul(c_z0m, z0m_v)),
-        ad.mul(c_z0c, z0c_v),
+        ad.add(ad.mul(c_zt, z_t), ad.mul(c_z0m, z0m)),
+        ad.mul(c_z0c, z0c),
     )
     return _apply_mask(out, target_mask)
 
@@ -172,15 +120,12 @@ def posterior_mean_eps(z_t, z0c, eps_hat, t, sched: NoiseSchedule, target_mask=N
     Substituting the marginal's inversion of z0m into ``posterior_mean_z0``
     yields this form; the two agree to floating-point accuracy (audited).
     """
-    z_t_v, z0c_v, eps_v = _values(z_t), _values(z0c), _values(eps_hat)
-    if target_mask is None:
-        target_mask = _mask_from(z0c)
-    beta, astep, acum_prev, acum = _coeffs(sched, t, _grid_ndim(z_t_v))
+    beta, astep, acum_prev, acum = _coeffs(sched, t, _grid_ndim(z_t))
     denom = 1.0 - acum
     inv_sqrt_astep = 1.0 / np.sqrt(astep)
     c_z0c = astep * np.sqrt(astep) * (1.0 - acum_prev) / denom
     c_eps = (1.0 - astep) / np.sqrt(denom)
-    inner = ad.sub(ad.sub(z_t_v, ad.mul(c_z0c, z0c_v)), ad.mul(c_eps, eps_v))
+    inner = ad.sub(ad.sub(z_t, ad.mul(c_z0c, z0c)), ad.mul(c_eps, eps_hat))
     return _apply_mask(ad.mul(inv_sqrt_astep, inner), target_mask)
 
 
@@ -229,10 +174,8 @@ def elbo_diagnostics(
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be >= 1")
-    z0m_v = np.asarray(_values(z0m), dtype=np.float64)
-    z0c_v = np.asarray(_values(z0c), dtype=np.float64)
-    if target_mask is None:
-        target_mask = _mask_from(z0m, z0c)
+    z0m_v = np.asarray(z0m, dtype=np.float64)
+    z0c_v = np.asarray(z0c, dtype=np.float64)
     if target_mask is None:
         target_mask = np.ones_like(z0m_v, dtype=bool)
     mask = np.asarray(target_mask, dtype=bool)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .denoiser import normalized_adjacency
 from .errors import ConfigError, DataError
-from .forward import ConditionGrid, ResidualGrid
 
 __all__ = [
     "InitialModel",
@@ -156,32 +156,33 @@ def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray)
     return ad.add(x_obs, ad.mul(x_hat, 1.0 - vis))
 
 
-def impute_initial(x, graph, model: InitialModel) -> np.ndarray:
-    """Deterministic fill of every non-visible cell of a MaskedGrid."""
-    values, visible = x.values, x.visible_mask
-    if model.strategy == "node_mean":
-        return node_mean_fill(values, visible)
-    if model.strategy == "interp_graph":
-        adj = getattr(graph, "adjacency", graph)
-        return interp_graph_fill(values, visible, adj)
-    from .denoiser import normalized_adjacency
+def impute_initial(values, visible, graph, model: InitialModel, params=None):
+    """Deterministic fill of every non-visible cell of (B, L, N) windows.
 
+    ``params`` overrides the trainable model's arrays, e.g. with autodiff
+    Tensors so the fill is differentiable; the result is then a Tensor.
+    """
     adj = getattr(graph, "adjacency", graph)
-    out = trainable_fill(
-        model.params,
-        model.hidden,
-        values[None, :, :],
-        visible[None, :, :],
-        normalized_adjacency(adj),
-    )
-    return np.asarray(out)[0]
+    if model.trainable:
+        p = model.params if params is None else params
+        return trainable_fill(p, model.hidden, values, visible, normalized_adjacency(adj))
+    out = np.empty_like(values)
+    for i in range(values.shape[0]):
+        if model.strategy == "node_mean":
+            out[i] = node_mean_fill(values[i], visible[i])
+        else:
+            out[i] = interp_graph_fill(values[i], visible[i], adj)
+    return out
 
 
 def residual_and_condition(x_init, values, target_mask, observed_mask=None,
-                           training: bool = True, sign: float = 1.0):
-    """Residual target and condition grid on target cells (zero elsewhere).
+                           training: bool = True, sign: float = 1.0,
+                           no_residual: bool = False):
+    """Residual target and condition on target cells (zero elsewhere).
 
-    residual = sign * (x_init - truth); condition = x_init.  In training
+    residual = sign * (fill - truth) with fill = x_init, or zero under
+    ``no_residual`` (the target is then the data itself); condition =
+    x_init.  Arrays in, arrays out; Tensors in, Tensors out.  In training
     mode every target cell must carry ground truth (be observed).
     """
     mask = np.asarray(target_mask, dtype=bool)
@@ -191,10 +192,11 @@ def residual_and_condition(x_init, values, target_mask, observed_mask=None,
         if values is None:
             raise DataError("training mode requires ground-truth values")
     maskf = mask.astype(np.float64)
-    z0c = ConditionGrid(ad.mul(x_init, maskf), mask)
+    z0c = ad.mul(x_init, maskf)
     if values is None:
         return None, z0c
-    z0m = ResidualGrid(ad.mul(ad.mul(ad.sub(x_init, values), maskf), sign), mask)
+    fill = np.zeros_like(values) if no_residual else x_init
+    z0m = ad.mul(ad.mul(ad.sub(fill, values), maskf), sign)
     return z0m, z0c
 
 

@@ -1,14 +1,17 @@
 """Reverse sampling of the residual and assembly of probabilistic imputations.
 
-Two samplers share the same checkpoint and denoiser:
+Two samplers share the same checkpoint and denoiser, and each runs one step
+function per reverse step; the derivation audits check those same functions.
 
-  * ancestral: full-length reverse chain; each step takes the posterior mean
-    parameterized by the noise estimate and adds noise with the posterior
-    std (zero at the last step).
-  * accelerated: non-Markovian jumps over an evenly spaced descending
-    subsequence of steps ending at 1.  The jump noise std defaults to the
-    generalized posterior std between consecutive subsequence elements,
-    scaled by eta in [0, 1] (eta = 0 gives the deterministic limit).
+  * ancestral (``ancestral_step``): full-length reverse chain; each step
+    takes the posterior mean, parameterized by the noise estimate or, for
+    clean-residual checkpoints, by the predicted residual, and adds noise
+    with the posterior std (zero at the last step).
+  * accelerated (``accelerated_step``): non-Markovian jumps over an evenly
+    spaced descending subsequence of steps ending at 1, with coefficients
+    from ``jump_coeffs``.  The jump noise std defaults to the generalized
+    posterior std between consecutive subsequence elements, scaled by eta in
+    [0, 1] (eta = 0 gives the deterministic limit).
 
 Under the conditioned forward marginal both chains end at residual +
 condition (z0m + z0c, with the condition zeroed under ``no_cond_forward``),
@@ -35,44 +38,16 @@ from .forward import posterior_mean_eps, posterior_mean_z0
 from .schedule import NoiseSchedule
 
 __all__ = [
-    "DdimCoeffs",
     "ImputationResult",
     "ancestral_step",
     "ancestral_impute",
     "initial_only_impute",
-    "ddim_coeffs",
+    "jump_coeffs",
     "substep_schedule",
     "substep_noise_std",
     "accelerated_step",
     "accelerated_impute",
 ]
-
-
-@dataclass(frozen=True)
-class DdimCoeffs:
-    """Coefficients of the non-Markovian jump z_{t-1} = a z_t + b (z0 + cond) + d eps."""
-
-    a: float
-    b: float
-    d: float
-
-
-def ddim_coeffs(t: int, d: float, sched: NoiseSchedule) -> DdimCoeffs:
-    """Solve the jump coefficients for noise std d at step t.
-
-    a^2 (1 - alpha_cum_t) + d^2 = 1 - alpha_cum_{t-1} holds exactly by
-    construction; d^2 may not exceed 1 - alpha_cum_{t-1}.
-    """
-    if not 1 <= t <= sched.T:
-        raise IndexError(f"step {t} outside 1..{sched.T}")
-    acum_prev = float(sched.alpha_cum[t - 1])
-    acum = float(sched.alpha_cum[t])
-    radicand = 1.0 - acum_prev - d * d
-    if radicand < 0:
-        raise ValueError(f"noise std {d} too large at step {t}: negative radicand")
-    a = np.sqrt(radicand / (1.0 - acum))
-    b = np.sqrt(acum_prev) - a * np.sqrt(acum)
-    return DdimCoeffs(a=float(a), b=float(b), d=float(d))
 
 
 def substep_schedule(T: int, K: int) -> list[int]:
@@ -98,36 +73,56 @@ def substep_noise_std(sched: NoiseSchedule, t: int, t_prev: int, eta: float = 1.
     return float(eta) * float(np.sqrt(var))
 
 
-def ancestral_step(z_t, z0c, t: int, eps_hat, sched: NoiseSchedule,
+def ancestral_step(z_t, z0c, t: int, net_out, sched: NoiseSchedule,
                    rng: np.random.Generator | None = None,
-                   target_mask=None, noise=None):
-    """One reverse transition; adds posterior-std noise except at t = 1."""
-    mean = posterior_mean_eps(z_t, z0c, eps_hat, t, sched, target_mask)
+                   target_mask=None, noise=None, predict_x0: bool = False):
+    """One reverse transition; adds posterior-std noise except at t = 1.
+
+    ``net_out`` is the noise estimate, or the clean residual when
+    ``predict_x0`` is set; the posterior mean then takes its moment form.
+    Noise is drawn from ``rng`` only when it is needed and not given.
+    """
+    maskf = None if target_mask is None else np.asarray(target_mask, dtype=np.float64)
+    if predict_x0:
+        z0m = net_out if maskf is None else net_out * maskf
+        mean = posterior_mean_z0(z_t, z0m, z0c, t, sched, target_mask)
+    else:
+        mean = posterior_mean_eps(z_t, z0c, net_out, t, sched, target_mask)
     if t == 1:
         return mean
     sigma = float(np.sqrt(sched.beta_tilde[t - 1]))
     if noise is None:
         noise = rng.standard_normal(np.shape(mean))
-    if target_mask is not None:
-        noise = noise * np.asarray(target_mask, dtype=np.float64)
+    if maskf is not None:
+        noise = noise * maskf
     return mean + sigma * noise
 
 
-def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
-                     sched: NoiseSchedule, noise=None, target_mask=None):
-    """Non-Markovian jump t -> t_prev expressed through the noise estimate.
+def jump_coeffs(t: int, t_prev: int, d: float, sched: NoiseSchedule) -> tuple[float, float]:
+    """Coefficients (c_z, c_eps) of the jump t -> t_prev with noise std d.
 
-    z_prev = sqrt(acum_prev/acum) z_t
-             + (sqrt(1 - acum_prev - d^2) - sqrt(acum_prev (1 - acum)/acum)) eps_hat
-             + d * noise
+    z_prev = c_z z_t + c_eps eps_hat + d noise, with c_z = sqrt(acum_prev/acum)
+    and c_eps = sqrt(1 - acum_prev - d^2) - sqrt(acum_prev (1 - acum)/acum).
+    Under the forward marginal the state keeps signal sqrt(acum_prev) and
+    noise variance (c_z sqrt(1 - acum) + c_eps)^2 + d^2 = 1 - acum_prev, so
+    d^2 may not exceed 1 - acum_prev.
     """
+    if not 0 <= t_prev < t <= sched.T:
+        raise IndexError(f"jump {t}->{t_prev} outside {sched.T}..0")
     acum = float(sched.alpha_cum[t])
     acum_prev = float(sched.alpha_cum[t_prev])
     radicand = 1.0 - acum_prev - d * d
     if radicand < 0:
         raise ValueError(f"noise std {d} too large for jump {t}->{t_prev}")
     c_eps = np.sqrt(radicand) - np.sqrt(acum_prev * (1.0 - acum) / acum)
-    out = np.sqrt(acum_prev / acum) * np.asarray(z_t) + c_eps * np.asarray(eps_hat)
+    return float(np.sqrt(acum_prev / acum)), float(c_eps)
+
+
+def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
+                     sched: NoiseSchedule, noise=None, target_mask=None):
+    """Non-Markovian jump t -> t_prev expressed through the noise estimate."""
+    c_z, c_eps = jump_coeffs(t, t_prev, d, sched)
+    out = c_z * np.asarray(z_t) + c_eps * np.asarray(eps_hat)
     if d > 0 and noise is not None:
         n = np.asarray(noise)
         if target_mask is not None:
@@ -158,24 +153,15 @@ class _SamplerSetup:
         self.sched = checkpoint.sched
         self.params = checkpoint.denoiser
         self.flags = cfg
-        stats = checkpoint.stats
-        values_norm = (x.values - stats.mean[None, :]) / stats.std[None, :]
-        values_norm = np.where(x.observed_mask, values_norm, 0.0)
-        self.grid_norm = dt.MaskedGrid(
-            values=values_norm,
-            observed_mask=x.observed_mask,
-            eval_mask=x.eval_mask,
-            timestamps=x.timestamps,
-            window_index=x.window_index,
-            node_ids=list(x.node_ids),
-        )
         self.x = x
-        self.stats = stats
+        self.stats = checkpoint.stats
+        self.values_norm = dt.normalize(x, self.stats)[0].values
         self.visible = x.visible_mask
         self.target = ~self.visible
         self.targetf = self.target.astype(np.float64)
-        self.sign = -1.0 if bool(cfg.flip_residual_sign) != bool(cfg.no_residual) else 1.0
-        self.a_hat = dn.normalized_adjacency(getattr(graph, "adjacency", graph))
+        self.sign = cfg.residual_sign
+        adjacency = getattr(graph, "adjacency", graph)
+        self.a_hat = dn.normalized_adjacency(adjacency)
 
         L = x.shape[0]
         n_window = self.params.config.n_window
@@ -184,22 +170,14 @@ class _SamplerSetup:
 
         # the rough fill is computed per window, exactly as during training,
         # so the condition follows the distribution the denoiser was fit on
-        x_init = np.empty_like(self.grid_norm.values)
+        x_init = np.empty_like(self.values_norm)
         for sl in self.slices:
-            win = dt.MaskedGrid(
-                values=self.grid_norm.values[sl],
-                observed_mask=x.observed_mask[sl],
-                eval_mask=x.eval_mask[sl],
-                timestamps=x.timestamps[sl],
-                window_index=x.window_index[sl],
-                node_ids=list(x.node_ids),
-            )
-            x_init[sl] = ini.impute_initial(win, graph, checkpoint.initial)
+            x_init[sl] = ini.impute_initial(self.values_norm[None, sl],
+                                            self.visible[None, sl], adjacency,
+                                            checkpoint.initial)[0]
         self.x_init_eff = np.zeros_like(x_init) if cfg.no_residual else x_init
-        _, z0c = ini.residual_and_condition(
-            x_init, None, self.target, training=False, sign=self.sign
-        )
-        self.z0c = np.asarray(z0c.values)
+        _, self.z0c = ini.residual_and_condition(x_init, None, self.target,
+                                                 training=False)
         self.z0c_chain = np.zeros_like(self.z0c) if cfg.no_cond_forward else self.z0c
 
     def predict(self, z_full: np.ndarray, t: int, chunk: int = 128) -> np.ndarray:
@@ -251,7 +229,7 @@ class _SamplerSetup:
         samples = np.empty_like(residuals)
         for s in range(s_count):
             imput_norm = self.x_init_eff - self.sign * residuals[s]
-            full = np.where(self.visible, self.grid_norm.values, imput_norm)
+            full = np.where(self.visible, self.values_norm, imput_norm)
             denorm = dt.denormalize(full, self.stats)
             samples[s] = np.where(self.visible, self.x.values, denorm)
         median = np.median(samples, axis=0)
@@ -273,9 +251,9 @@ def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph) -> np.ndarray:
     refined imputations are like for like.
     """
     setup = _SamplerSetup(checkpoint, x, graph)
-    # under no_residual there is no stage-one estimate; fall back to the fill
-    x_init = setup.x_init_eff if not checkpoint.config.no_residual else setup.z0c
-    full = np.where(setup.visible, setup.grid_norm.values, x_init)
+    # the condition is the rough fill on every non-visible cell, whatever
+    # the ablation flags
+    full = np.where(setup.visible, setup.values_norm, setup.z0c)
     denorm = dt.denormalize(full, setup.stats)
     return np.where(setup.visible, x.values, denorm)
 
@@ -283,6 +261,11 @@ def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph) -> np.ndarray:
 def _sample_rngs(rng: np.random.Generator, s_count: int) -> list[np.random.Generator]:
     seq = rng.bit_generator.seed_seq.spawn(s_count)
     return [np.random.default_rng(s) for s in seq]
+
+
+def _draw(rngs: list[np.random.Generator], shape) -> np.ndarray:
+    """One standard-normal grid per sample chain, from that chain's stream."""
+    return np.stack([r.standard_normal(shape) for r in rngs])
 
 
 def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
@@ -293,23 +276,13 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
     setup = _SamplerSetup(checkpoint, x, graph)
     sched = setup.sched
     rngs = _sample_rngs(rng, S)
-    shape = x.shape
-    z = np.stack([r.standard_normal(shape) * setup.targetf for r in rngs])
+    z = _draw(rngs, x.shape) * setup.targetf
     for t in range(sched.T, 0, -1):
         net_out = setup.predict(z, t, chunk)
-        eps_hat = setup.eps_from_output(net_out, z, t)
-        if setup.flags.predict_x0:
-            mean = posterior_mean_z0(z, net_out * setup.targetf, setup.z0c_chain,
-                                     t, sched, setup.target)
-        else:
-            mean = posterior_mean_eps(z, setup.z0c_chain, eps_hat, t, sched,
-                                      setup.target)
-        if t > 1:
-            sigma = float(np.sqrt(sched.beta_tilde[t - 1]))
-            noise = np.stack([r.standard_normal(shape) * setup.targetf for r in rngs])
-            z = mean + sigma * noise
-        else:
-            z = mean
+        noise = _draw(rngs, x.shape) if t > 1 else None
+        z = ancestral_step(z, setup.z0c_chain, t, net_out, sched,
+                           target_mask=setup.target, noise=noise,
+                           predict_x0=setup.flags.predict_x0)
     return setup.finalize(z)
 
 
@@ -323,16 +296,12 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph, K: int,
     sched = setup.sched
     steps = substep_schedule(sched.T, K)
     rngs = _sample_rngs(rng, S)
-    shape = x.shape
-    z = np.stack([r.standard_normal(shape) * setup.targetf for r in rngs])
+    z = _draw(rngs, x.shape) * setup.targetf
     for i, t in enumerate(steps):
         t_prev = steps[i + 1] if i + 1 < len(steps) else 0
         d = substep_noise_std(sched, t, t_prev, eta)
         net_out = setup.predict(z, t, chunk)
         eps_hat = setup.eps_from_output(net_out, z, t)
-        if d > 0:
-            noise = np.stack([r.standard_normal(shape) * setup.targetf for r in rngs])
-        else:
-            noise = None
+        noise = _draw(rngs, x.shape) if d > 0 else None
         z = accelerated_step(z, eps_hat, t, t_prev, d, sched, noise, setup.target)
     return setup.finalize(z)

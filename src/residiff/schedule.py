@@ -10,22 +10,13 @@ the first step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["NoiseSchedule", "StepCoeffs", "build_linear_schedule", "lookup"]
-
-
-class StepCoeffs(NamedTuple):
-    beta: float
-    alpha_step: float
-    alpha_cum_prev: float
-    alpha_cum: float
-    beta_tilde: float
+__all__ = ["NoiseSchedule", "build_linear_schedule"]
 
 
 @dataclass(frozen=True)
@@ -102,15 +93,3 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
         beta = np.linspace(beta_min, beta_max, T, dtype=np.float64)
     return NoiseSchedule.from_beta(beta)
 
-
-def lookup(sched: NoiseSchedule, t: int) -> StepCoeffs:
-    """Precomputed scalars for step t (1-indexed); pure, no recomputation."""
-    if not 1 <= t <= sched.T:
-        raise IndexError(f"step {t} outside 1..{sched.T}")
-    return StepCoeffs(
-        beta=float(sched.beta[t - 1]),
-        alpha_step=float(sched.alpha_step[t - 1]),
-        alpha_cum_prev=float(sched.alpha_cum[t - 1]),
-        alpha_cum=float(sched.alpha_cum[t]),
-        beta_tilde=float(sched.beta_tilde[t - 1]),
-    )

@@ -28,9 +28,10 @@ Ablation flags:
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -106,6 +107,12 @@ class TrainConfig:
     def residual_sign(self) -> float:
         return -1.0 if bool(self.flip_residual_sign) != bool(self.no_residual) else 1.0
 
+    def denoiser_config(self, n_nodes: int) -> dn.DenoiserConfig:
+        return dn.DenoiserConfig(
+            n_window=self.n_window, n_nodes=n_nodes, n_steps=self.t_steps,
+            d=self.d, conv_width=self.conv_width, head_count=self.head_count,
+        )
+
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         known = {f.name for f in fields(cls)}
@@ -161,20 +168,6 @@ class Adam:
             arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def _initial_fill(model: ini.InitialModel, p, values, cond_vis, adjacency, a_hat):
-    """Rough fill for a batch of windows; tracked when ``p`` holds Tensors."""
-    if model.strategy == "trainable":
-        return ini.trainable_fill(p, model.hidden, values, cond_vis, a_hat)
-    b = values.shape[0]
-    out = np.empty_like(values)
-    for i in range(b):
-        if model.strategy == "node_mean":
-            out[i] = ini.node_mean_fill(values[i], cond_vis[i])
-        else:
-            out[i] = ini.interp_graph_fill(values[i], cond_vis[i], adjacency)
-    return out
-
-
 def _window_batches(L: int, n_window: int, batch_size: int, rng):
     if L < n_window:
         raise DataError(f"series of length {L} shorter than window {n_window}")
@@ -210,7 +203,6 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     model.params = ini.init_trainable_params(config.init_hidden, rng)
     if config.skip_pretrain:
         return model, []
-    a_hat = dn.normalized_adjacency(graph.adjacency)
     names = model.tensor_names()
     adam = Adam(names, config.learning_rate)
     losses = []
@@ -225,7 +217,7 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
             values, vis, target = values[keep], vis[keep], target[keep]
             cond_vis = vis & ~target
             pt = {n: ad.Tensor(model.params[n]) for n in names}
-            x_init = ini.trainable_fill(pt, model.hidden, values, cond_vis, a_hat)
+            x_init = ini.impute_initial(values, cond_vis, graph, model, pt)
             loss = ini.init_loss(x_init, values, target, config.init_norm)
             if not np.isfinite(loss.value):
                 raise NumericError("non-finite pretraining loss")
@@ -260,11 +252,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     else:
         model = ini.InitialModel(config.strategy, config.init_hidden)
 
-    n_nodes = grid.shape[1]
-    dcfg = dn.DenoiserConfig(
-        n_window=config.n_window, n_nodes=n_nodes, n_steps=config.t_steps,
-        d=config.d, conv_width=config.conv_width, head_count=config.head_count,
-    )
+    dcfg = config.denoiser_config(grid.shape[1])
     dparams = dn.init_params(dcfg, rng)
     a_hat = dn.normalized_adjacency(graph.adjacency)
 
@@ -294,19 +282,13 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
                 values[keep], cond_vis[keep], target[keep], widx[keep])
             b = values.shape[0]
 
+            pt_init = None
             if train_initial:
                 pt_init = {n: ad.Tensor(model.params[n]) for n in model.tensor_names()}
-                fill_params = pt_init
-            else:
-                fill_params = model.params
-            x_init = _initial_fill(model, fill_params, values, cond_vis,
-                                   graph.adjacency, a_hat)
-
-            sign = config.residual_sign
-            maskf = target.astype(np.float64)
-            x_init_eff = np.zeros_like(values) if config.no_residual else x_init
-            z0m = ad.mul(ad.mul(ad.sub(x_init_eff, values), maskf), sign)
-            z0c = ad.mul(x_init, maskf)
+            x_init = ini.impute_initial(values, cond_vis, graph, model, pt_init)
+            z0m, z0c = ini.residual_and_condition(
+                x_init, values, target, sign=config.residual_sign,
+                no_residual=config.no_residual)
             z0c_fwd = np.zeros_like(values) if config.no_cond_forward else z0c
 
             t_draw = rng.integers(1, config.t_steps + 1, size=b)
@@ -401,52 +383,58 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC:
-        raise DataError(f"{path} is not a checkpoint file")
-    version, count = struct.unpack_from("<II", blob, 8)
+    """Read a checkpoint; a truncated, inconsistent or missing one is a DataError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if blob[:8] != _MAGIC:
+            raise DataError(f"{path} is not a checkpoint file")
+        with open(str(path) + ".json") as fh:
+            sidecar = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+
+    off = 8
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise DataError(f"checkpoint {path} is truncated")
+        off += n
+        return blob[off - n : off]
+
+    version, count = struct.unpack("<II", take(8))
     if version != _FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    off = 16
     headers = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}Q", blob, off)
-        off += 8 * ndim
-        headers.append((name, shape))
+        (name_len,) = struct.unpack("<I", take(4))
+        name = take(name_len).decode("utf-8", errors="replace")
+        (ndim,) = struct.unpack("<I", take(4))
+        headers.append((name, struct.unpack(f"<{ndim}Q", take(8 * ndim))))
     arrays = {}
     for name, shape in headers:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
-        off += 8 * size
-        arrays[name] = arr.reshape(shape).astype(np.float64)
+        raw = take(8 * math.prod(shape))
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if off != len(blob):
+        raise DataError(f"checkpoint {path} has {len(blob) - off} trailing bytes")
 
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    config = TrainConfig.from_dict(sidecar["config"])
-    sched = NoiseSchedule.from_arrays(
-        arrays["schedule/beta"], arrays["schedule/alpha_step"],
-        arrays["schedule/alpha_cum"], arrays["schedule/beta_tilde"],
-    )
-    stats = dt.NormStats(mean=arrays["norm/mean"], std=arrays["norm/std"])
-    dcfg = dn.DenoiserConfig(
-        n_window=config.n_window, n_nodes=int(sidecar["n_nodes"]),
-        n_steps=config.t_steps, d=config.d, conv_width=config.conv_width,
-        head_count=config.head_count,
-    )
-    dparams = dn.DenoiserParams(
-        config=dcfg,
-        **{n: arrays[f"denoiser/{n}"] for n in dn.DenoiserParams.tensor_names()},
-    )
-    model = ini.InitialModel(
-        sidecar["initial_strategy"], int(sidecar["initial_hidden"]),
-        {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith("initial/")},
-    )
+    try:
+        config = TrainConfig.from_dict(sidecar["config"])
+        sched = NoiseSchedule.from_arrays(
+            arrays["schedule/beta"], arrays["schedule/alpha_step"],
+            arrays["schedule/alpha_cum"], arrays["schedule/beta_tilde"],
+        )
+        stats = dt.NormStats(mean=arrays["norm/mean"], std=arrays["norm/std"])
+        dparams = dn.DenoiserParams(
+            config=config.denoiser_config(int(sidecar["n_nodes"])),
+            **{n: arrays[f"denoiser/{n}"] for n in dn.DenoiserParams.tensor_names()},
+        )
+        model = ini.InitialModel(
+            sidecar["initial_strategy"], int(sidecar["initial_hidden"]),
+            {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith("initial/")},
+        )
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
     return Checkpoint(sched=sched, denoiser=dparams, initial=model,
                       stats=stats, config=config, version=version)

@@ -110,9 +110,9 @@ def test_c04_jump_identity_and_telescoping():
             acum_prev = float(sched.alpha_cum[t - 1])
             acum = float(sched.alpha_cum[t])
             d = rng.uniform(0, np.sqrt(1 - acum_prev)) if acum_prev < 1 else 0.0
-            c = sp.ddim_coeffs(t, d, sched)
-            worst_id = max(worst_id, abs(c.a**2 * (1 - acum) + c.d**2
-                                         - (1 - acum_prev)))
+            c_z, c_eps = sp.jump_coeffs(t, t - 1, d, sched)
+            worst_id = max(worst_id, abs((c_z * np.sqrt(1 - acum) + c_eps) ** 2
+                                         + d**2 - (1 - acum_prev)))
     worst_tel = 0.0
     for T in (2, 5, 50):
         sched = build_linear_schedule(T, 1e-4, 0.2)

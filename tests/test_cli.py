@@ -176,3 +176,68 @@ def test_ablation_flag_list(pipeline, tmp_path):
     assert cfg["no_residual"] is False
     assert main(["train", "--data", str(dsm), "--out", str(tmp_path / "abl2"),
                  "--ablation", "bogus_flag"]) == 2
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+
+
+def test_impute_takes_window_length_from_checkpoint(pipeline, tmp_path):
+    _, _, dsm, _ = pipeline
+    run12 = tmp_path / "run12"
+    short = [*FAST_TRAIN[:-2], "--n-window", "12"]
+    assert main(["train", "--data", str(dsm), "--out", str(run12), "--seed", "0",
+                 *short]) == 0
+    ck = str(run12 / "checkpoint.bin")
+    outs = []
+    for extra in ([], ["--n-window", "12"]):
+        out = tmp_path / f"imp{len(extra)}"
+        assert main(["impute", "--data", str(dsm), "--checkpoint", ck,
+                     "--out", str(out), "--samples", "2", "--seed", "5", *extra]) == 0
+        outs.append((out / "median.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_impute_node_count_mismatch_exits_3(pipeline, tmp_path, capsys):
+    _, _, _, run = pipeline
+    ds5 = tmp_path / "ds5"
+    assert main(["synth", "--out", str(ds5), "--n-nodes", "5",
+                 "--data-steps", "96", "--seed", "3"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(ds5), "--checkpoint",
+                 str(run / "checkpoint.bin"), "--out", str(out),
+                 "--samples", "2"]) == 3
+    _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
+def test_impute_truncated_checkpoint_exits_3(pipeline, tmp_path, capsys):
+    _, _, dsm, run = pipeline
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes((run / "checkpoint.bin").read_bytes()[:300])
+    (tmp_path / "cut.bin.json").write_bytes((run / "checkpoint.bin.json").read_bytes())
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(cut),
+                 "--out", str(out), "--samples", "2"]) == 3
+    _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(tmp_path / "nope.json"),
+                 "--out", str(out)]) == 2
+    _one_line_error(capsys, "config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    _one_line_error(capsys, "config error:")
+    assert not out.exists()

@@ -41,6 +41,11 @@ def test_q_sample_shape_mismatch_raises():
 def test_q_sample_step_out_of_range():
     with pytest.raises(IndexError):
         fw.q_sample(np.ones(2), np.ones(2), 3, np.ones(2), S2)
+    with pytest.raises(IndexError):
+        fw.q_sample(np.ones(2), np.ones(2), 0, np.ones(2), S2)
+    for t in (0, 3):
+        with pytest.raises(IndexError):
+            fw.posterior_mean_z0(np.ones(2), np.ones(2), np.ones(2), t, S2)
 
 
 def test_q_step_sample_cases():

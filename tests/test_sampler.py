@@ -53,11 +53,22 @@ def test_ancestral_chain_matches_pushforward_recursion():
     np.testing.assert_allclose(z, z0m + z0c, atol=1e-8)
 
 
+def _z_coeff(c_z, c_eps, t, sched):
+    """Coefficient of z_t once eps_hat is the marginal's exact noise."""
+    return c_z + c_eps / np.sqrt(1 - sched.alpha_cum[t])
+
+
 class TestDdimCoeffs:
+    """``jump_coeffs``, the coefficients ``accelerated_step`` applies."""
+
     def test_deterministic_case(self):
-        c = sp.ddim_coeffs(2, 0.0, S2)
-        assert c.a == pytest.approx(np.sqrt(0.1 / 0.28))
-        assert c.d == 0.0
+        c_z, c_eps = sp.jump_coeffs(2, 1, 0.0, S2)
+        assert _z_coeff(c_z, c_eps, 2, S2) == pytest.approx(np.sqrt(0.1 / 0.28))
+        # zero noise std: the jump ignores any noise it is given
+        z, eps = np.array([0.3, -1.2]), np.array([0.5, 0.8])
+        np.testing.assert_array_equal(
+            sp.accelerated_step(z, eps, 2, 1, 0.0, S2, noise=np.full(2, 9.0)),
+            sp.accelerated_step(z, eps, 2, 1, 0.0, S2))
 
     def test_identity_random_noise_levels(self):
         rng = np.random.default_rng(7)
@@ -65,20 +76,20 @@ class TestDdimCoeffs:
         for t in range(2, 11):
             dmax = np.sqrt(1 - sched.alpha_cum[t - 1])
             d = rng.uniform(0, dmax)
-            c = sp.ddim_coeffs(t, d, sched)
-            lhs = c.a**2 * (1 - sched.alpha_cum[t]) + c.d**2
+            c_z, c_eps = sp.jump_coeffs(t, t - 1, d, sched)
+            lhs = (c_z * np.sqrt(1 - sched.alpha_cum[t]) + c_eps) ** 2 + d**2
             assert lhs == pytest.approx(1 - sched.alpha_cum[t - 1], abs=1e-14)
 
     def test_derived_value(self):
         d = float(np.sqrt(S2.beta_tilde[1]))
-        c = sp.ddim_coeffs(2, d, S2)
-        assert c.a == pytest.approx(0.31944, abs=1e-5)
+        c_z, c_eps = sp.jump_coeffs(2, 1, d, S2)
+        assert _z_coeff(c_z, c_eps, 2, S2) == pytest.approx(0.31944, abs=1e-5)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            sp.ddim_coeffs(2, 1.0, S2)
+            sp.jump_coeffs(2, 1, 1.0, S2)
         with pytest.raises(IndexError):
-            sp.ddim_coeffs(3, 0.0, S2)
+            sp.jump_coeffs(3, 2, 0.0, S2)
 
 
 class TestSubsteps:
@@ -198,6 +209,24 @@ def test_sample_count_validation(tiny_run):
     with pytest.raises(ConfigError):
         sp.accelerated_impute(ckpt, grid, graph, K=99, S=1,
                               rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("predict_x0", [False, True])
+def test_samplers_run_the_audited_step_functions(tiny_run, monkeypatch, predict_x0):
+    grid, graph, ckpt = tiny_run
+    ckpt = dataclasses.replace(
+        ckpt, config=dataclasses.replace(ckpt.config, predict_x0=predict_x0))
+    calls = {"ancestral_step": 0, "accelerated_step": 0}
+    for name in calls:
+        def spy(*args, _step=getattr(sp, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(sp, name, spy)
+    sp.ancestral_impute(ckpt, grid, graph, S=2, rng=np.random.default_rng(0))
+    assert calls == {"ancestral_step": ckpt.sched.T, "accelerated_step": 0}
+    sp.accelerated_impute(ckpt, grid, graph, K=3, S=2, rng=np.random.default_rng(0))
+    assert calls["accelerated_step"] == len(sp.substep_schedule(ckpt.sched.T, 3))
 
 
 def _exact_oracle_predict(monkeypatch, ckpt, grid):

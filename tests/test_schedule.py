@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from residiff.errors import ConfigError
-from residiff.schedule import NoiseSchedule, StepCoeffs, build_linear_schedule, lookup
+from residiff.schedule import NoiseSchedule, build_linear_schedule
 
 
 def test_table_defaults_endpoints():
@@ -25,6 +25,11 @@ def test_two_step_derived_values():
     np.testing.assert_allclose(s.alpha_step, [0.9, 0.8])
     np.testing.assert_allclose(s.alpha_cum, [1.0, 0.9, 0.72])
     np.testing.assert_allclose(s.beta_tilde[1], 0.1 * 0.2 / 0.28)
+    # step 1 reads alpha_cum[0] = 1 and has no posterior variance
+    assert s.beta_tilde[0] == 0.0 and s.alpha_cum[0] == 1.0
+    assert s.alpha_cum[2] == pytest.approx(0.72)
+    for name in ("beta", "alpha_step", "alpha_cum", "beta_tilde"):
+        assert getattr(s, name).dtype == np.float64
 
 
 @pytest.mark.parametrize("T", [1, 2, 5, 50, 100])
@@ -46,18 +51,6 @@ def test_identities_randomized(T):
     assert s.beta_tilde[0] == 0.0
     assert np.all(s.beta_tilde[1:] < s.beta[1:])
     assert np.all(s.beta_tilde >= 0.0)
-
-
-def test_lookup_values_and_errors():
-    s = build_linear_schedule(2, 0.1, 0.2)
-    c = lookup(s, 1)
-    assert isinstance(c, StepCoeffs)
-    assert c.beta_tilde == 0.0 and c.alpha_cum_prev == 1.0
-    assert lookup(s, 2).alpha_cum == pytest.approx(0.72)
-    with pytest.raises(IndexError):
-        lookup(s, 3)
-    with pytest.raises(IndexError):
-        lookup(s, 0)
 
 
 @pytest.mark.parametrize("args", [(0, 0.1, 0.2), (5, 0.0, 0.2), (5, 0.3, 0.2),

@@ -8,7 +8,7 @@ from residiff import data as dt
 from residiff import denoiser as dn
 from residiff import initial as ini
 from residiff import trainer as tr
-from residiff.errors import ConfigError, NumericError
+from residiff.errors import ConfigError, DataError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +220,67 @@ class TestCheckpointContainer:
 
         with pytest.raises(DataError):
             tr.load_checkpoint(p)
+
+
+def _tiny_checkpoint(path):
+    """A 5-node, d = 8, T = 5 checkpoint written to ``path`` (about 7.5 KB)."""
+    from residiff.schedule import build_linear_schedule
+
+    cfg = tr.TrainConfig(t_steps=5, d=8, head_count=2, n_window=12)
+    ck = tr.Checkpoint(
+        sched=build_linear_schedule(5, 0.05, 0.3),
+        denoiser=dn.init_params(cfg.denoiser_config(5), np.random.default_rng(0)),
+        initial=ini.InitialModel(), stats=dt.NormStats(np.zeros(5), np.ones(5)),
+        config=cfg,
+    )
+    tr.save_checkpoint(ck, path)
+    return ck
+
+
+class TestCorruptCheckpoint:
+    def test_truncation_at_every_offset_is_a_data_error(self, tmp_path):
+        blob_path = tmp_path / "ck.bin"
+        _tiny_checkpoint(blob_path)
+        blob = blob_path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        (tmp_path / "cut.bin.json").write_bytes((tmp_path / "ck.bin.json").read_bytes())
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                tr.load_checkpoint(cut)
+        cut.write_bytes(blob + b"\0")
+        with pytest.raises(DataError, match="trailing"):
+            tr.load_checkpoint(cut)
+        cut.write_bytes(blob)
+        assert tr.load_checkpoint(cut).denoiser.config.n_nodes == 5
+
+    def test_missing_sidecar_is_a_data_error(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        (tmp_path / "ck.bin.json").unlink()
+        with pytest.raises(DataError):
+            tr.load_checkpoint(path)
+
+    def test_missing_declared_array_is_a_data_error(self, tmp_path, monkeypatch):
+        arrays = tr._checkpoint_arrays
+
+        def without_head(ck):
+            out = arrays(ck)
+            del out["denoiser/head"]
+            return out
+
+        monkeypatch.setattr(tr, "_checkpoint_arrays", without_head)
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        with pytest.raises(DataError, match="denoiser/head"):
+            tr.load_checkpoint(path)
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError):
+            tr.load_checkpoint(tmp_path / "nope.bin")
+
+
+def test_denoiser_config_follows_the_train_config():
+    cfg = tr.TrainConfig(t_steps=7, n_window=12, d=8, head_count=2, conv_width=5)
+    assert cfg.denoiser_config(3) == dn.DenoiserConfig(
+        n_window=12, n_nodes=3, n_steps=7, d=8, conv_width=5, head_count=2)
