@@ -260,7 +260,9 @@ def _gradient_check(rng):
     eps = rng.standard_normal((b, 4, 3))
     mask = rng.random((b, 4, 3)) < 0.6
     mask[0, 0, 0] = True
-    report = orc.finite_diff_check(params, adj, (z_t, z0c, t, eps, mask))
+    a_hat = dn.normalized_adjacency(adj)
+    report = orc.finite_diff_check(
+        lambda p: dn.masked_mse(dn.forward(p, cfg, z_t, z0c, t, a_hat), eps, mask), params)
     return _audit("gradient_finite_difference", report["max_rel_err"], 1e-4)
 
 

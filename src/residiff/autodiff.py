@@ -2,9 +2,14 @@
 
 Every operation here is polymorphic: given plain ndarrays it returns a plain
 ndarray (fast inference path, no tape), and as soon as one operand is a
-:class:`Tensor` the result is a Tensor carrying a backward closure.  The same
-forward code therefore serves both gradient-tracked training and tape-free
-evaluation, which keeps finite-difference auditing cheap.
+:class:`Tensor` the result is a Tensor carrying one gradient function per
+Tensor operand.  The same forward code therefore serves both gradient-tracked
+training and tape-free evaluation, which keeps finite-difference auditing
+cheap.
+
+Parameters travel as plain name -> array dicts.  ``leaves`` wraps such a dict
+as fresh Tensor leaves for one taped evaluation, and after ``backward``
+``grads`` reads their gradients back under the same names.
 
 The engine is deliberately small: only the primitives needed by the models in
 this package are implemented.  All values are float64; gradients accumulate
@@ -18,10 +23,11 @@ import numpy as np
 __all__ = [
     "Tensor",
     "value_of",
+    "leaves",
+    "grads",
     "add",
     "sub",
     "mul",
-    "neg",
     "absolute",
     "tanh",
     "matmul",
@@ -41,29 +47,25 @@ __all__ = [
 class Tensor:
     """A node in the reverse-mode tape.
 
-    ``_parents`` holds the Tensor operands only; ``_backward`` maps the
-    output gradient to one gradient per parent, in order.
+    ``_parents`` holds the Tensor operands only; ``_grad_fns[i]`` maps the
+    output gradient to the gradient of ``_parents[i]``.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "_parents", "_grad_fns")
 
-    # keep numpy from consuming Tensors in mixed expressions; Python then
-    # falls back to the reflected operators below
+    # keep numpy from consuming Tensors in mixed expressions: ndarray * Tensor
+    # raises TypeError instead of building an object array
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), backward=None):
+    def __init__(self, value, parents=(), grad_fns=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._parents = tuple(parents)
-        self._backward = backward
+        self._parents = parents
+        self._grad_fns = grad_fns
 
     @property
     def shape(self):
         return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
 
     def backward(self):
         """Run reverse accumulation seeding this (scalar) node with grad 1."""
@@ -86,40 +88,11 @@ class Tensor:
             node.grad = None
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
-            if node._backward is None or node.grad is None:
+            if node.grad is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None:
-                    continue
-                if parent.grad is None:
-                    parent.grad = g
-                else:
-                    parent.grad = parent.grad + g
-
-    # operator sugar; right-hand constants are fine
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division by a Tensor is not supported")
-        return mul(self, 1.0 / np.asarray(other, dtype=np.float64))
+            for parent, grad_fn in zip(node._parents, node._grad_fns):
+                g = grad_fn(node.grad)
+                parent.grad = g if parent.grad is None else parent.grad + g
 
     def __getitem__(self, idx):
         return index(self, idx)
@@ -135,8 +108,29 @@ def value_of(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _is_tensor(*xs) -> bool:
-    return any(isinstance(x, Tensor) for x in xs)
+def leaves(params: dict) -> dict:
+    """Fresh Tensor leaves over a name -> array dict, sharing its arrays."""
+    return {name: Tensor(arr) for name, arr in params.items()}
+
+
+def grads(leaves: dict) -> dict:
+    """Each leaf's gradient after ``backward``; zeros where the loss did not reach."""
+    return {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+            for name, leaf in leaves.items()}
+
+
+def _node(out, operands, grad_fns):
+    """``out`` as a tape node over those ``operands`` that are Tensors.
+
+    ``grad_fns[i]`` maps the output gradient to the gradient of operand i and
+    is kept only when that operand is a Tensor; with none, ``out`` is returned
+    as the plain array it is.
+    """
+    tracked = [i for i, x in enumerate(operands) if isinstance(x, Tensor)]
+    if not tracked:
+        return out
+    return Tensor(out, tuple(operands[i] for i in tracked),
+                  tuple(grad_fns[i] for i in tracked))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -154,102 +148,38 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av + bv
-    if not _is_tensor(a, b):
-        return out
-    parents = [x for x in (a, b) if isinstance(x, Tensor)]
-
-    def backward(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g, av.shape))
-        if isinstance(b, Tensor):
-            grads.append(_unbroadcast(g, bv.shape))
-        return grads
-
-    return Tensor(out, parents, backward)
+    return _node(av + bv, (a, b), (lambda g: _unbroadcast(g, av.shape),
+                                   lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av - bv
-    if not _is_tensor(a, b):
-        return out
-    parents = [x for x in (a, b) if isinstance(x, Tensor)]
-
-    def backward(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g, av.shape))
-        if isinstance(b, Tensor):
-            grads.append(_unbroadcast(-g, bv.shape))
-        return grads
-
-    return Tensor(out, parents, backward)
+    return _node(av - bv, (a, b), (lambda g: _unbroadcast(g, av.shape),
+                                   lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av * bv
-    if not _is_tensor(a, b):
-        return out
-    parents = [x for x in (a, b) if isinstance(x, Tensor)]
-
-    def backward(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g * bv, av.shape))
-        if isinstance(b, Tensor):
-            grads.append(_unbroadcast(g * av, bv.shape))
-        return grads
-
-    return Tensor(out, parents, backward)
-
-
-def neg(a):
-    if not isinstance(a, Tensor):
-        return -value_of(a)
-    return Tensor(-a.value, [a], lambda g: [-g])
+    return _node(av * bv, (a, b), (lambda g: _unbroadcast(g * bv, av.shape),
+                                   lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def absolute(a):
     """Elementwise |a| with sign subgradient (0 at the kink)."""
     av = value_of(a)
-    out = np.abs(av)
-    if not isinstance(a, Tensor):
-        return out
-    s = np.sign(av)
-    return Tensor(out, [a], lambda g: [g * s])
+    return _node(np.abs(av), (a,), (lambda g: g * np.sign(av),))
 
 
 def tanh(a):
-    av = value_of(a)
-    out = np.tanh(av)
-    if not isinstance(a, Tensor):
-        return out
-    return Tensor(out, [a], lambda g: [g * (1.0 - out * out)])
-
-
-def _swap_last(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
+    out = np.tanh(value_of(a))
+    return _node(out, (a,), (lambda g: g * (1.0 - out * out),))
 
 
 def matmul(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av @ bv
-    if not _is_tensor(a, b):
-        return out
-    parents = [x for x in (a, b) if isinstance(x, Tensor)]
-
-    def backward(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g @ _swap_last(bv), av.shape))
-        if isinstance(b, Tensor):
-            grads.append(_unbroadcast(_swap_last(av) @ g, bv.shape))
-        return grads
-
-    return Tensor(out, parents, backward)
+    return _node(av @ bv, (a, b),
+                 (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape),
+                  lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
 
 
 def einsum2(spec: str, a, b):
@@ -259,24 +189,12 @@ def einsum2(spec: str, a, b):
     index used here also appears in the output or the other operand.
     """
     av, bv = value_of(a), value_of(b)
-    out = np.einsum(spec, av, bv, optimize=True)
-    if not _is_tensor(a, b):
-        return out
     lhs, out_spec = spec.split("->")
     a_spec, b_spec = lhs.split(",")
-    parents = [x for x in (a, b) if isinstance(x, Tensor)]
-
-    def backward(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, bv,
-                                   optimize=True))
-        if isinstance(b, Tensor):
-            grads.append(np.einsum(f"{a_spec},{out_spec}->{b_spec}", av, g,
-                                   optimize=True))
-        return grads
-
-    return Tensor(out, parents, backward)
+    return _node(
+        np.einsum(spec, av, bv, optimize=True), (a, b),
+        (lambda g: np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, bv, optimize=True),
+         lambda g: np.einsum(f"{a_spec},{out_spec}->{b_spec}", av, g, optimize=True)))
 
 
 def softmax(a, axis: int = -1):
@@ -284,117 +202,70 @@ def softmax(a, axis: int = -1):
     out = av - np.max(av, axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= np.sum(out, axis=axis, keepdims=True)
-    if not isinstance(a, Tensor):
-        return out
-
-    def backward(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
-        return [(g - inner) * out]
-
-    return Tensor(out, [a], backward)
+    return _node(out, (a,),
+                 (lambda g: (g - np.sum(g * out, axis=axis, keepdims=True)) * out,))
 
 
 def sum_(a, axis=None):
     av = value_of(a)
-    out = np.sum(av, axis=axis)
-    if not isinstance(a, Tensor):
-        return out
 
-    def backward(g):
-        if axis is None:
-            return [np.broadcast_to(g, av.shape).copy()]
-        g_exp = np.expand_dims(g, axis)
-        return [np.broadcast_to(g_exp, av.shape).copy()]
+    def grad(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, av.shape).copy()
 
-    return Tensor(out, [a], backward)
+    return _node(np.sum(av, axis=axis), (a,), (grad,))
 
 
 def reshape(a, shape):
     av = value_of(a)
-    out = av.reshape(shape)
-    if not isinstance(a, Tensor):
-        return out
-    return Tensor(out, [a], lambda g: [g.reshape(av.shape)])
+    return _node(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
 
 
 def transpose(a, axes):
-    av = value_of(a)
-    out = np.transpose(av, axes)
-    if not isinstance(a, Tensor):
-        return out
-    inverse = np.argsort(axes)
-    return Tensor(out, [a], lambda g: [np.transpose(g, inverse)])
+    return _node(np.transpose(value_of(a), axes), (a,),
+                 (lambda g: np.transpose(g, np.argsort(axes)),))
 
 
 def pad(a, pad_width):
     av = value_of(a)
-    out = np.pad(av, pad_width)
-    if not isinstance(a, Tensor):
-        return out
     slices = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, av.shape))
-    return Tensor(out, [a], lambda g: [g[slices]])
+    return _node(np.pad(av, pad_width), (a,), (lambda g: g[slices],))
 
 
 def index(a, idx):
     """Basic slicing/integer indexing; backward scatters into zeros."""
     av = value_of(a)
-    out = av[idx]
-    if not isinstance(a, Tensor):
-        return out
 
-    def backward(g):
+    def grad(g):
         full = np.zeros_like(av)
         full[idx] = g
-        return [full]
+        return full
 
-    return Tensor(out, [a], backward)
+    return _node(av[idx], (a,), (grad,))
 
 
 def take_rows(table, idx):
     """Embedding lookup ``table[idx]`` with duplicate-safe scatter-add."""
     idx = np.asarray(idx)
     tv = value_of(table)
-    out = tv[idx]
-    if not isinstance(table, Tensor):
-        return out
 
-    def backward(g):
+    def grad(g):
         full = np.zeros_like(tv)
         np.add.at(full, idx.reshape(-1), g.reshape(-1, tv.shape[-1]))
-        return [full]
+        return full
 
-    return Tensor(out, [table], backward)
+    return _node(tv[idx], (table,), (grad,))
 
 
 def stack_seq(items, axis: int = 1):
     """Stack a list of same-shape grids along a new axis (default time)."""
-    vals = [value_of(x) for x in items]
-    out = np.stack(vals, axis=axis)
-    if not _is_tensor(*items):
-        return out
-    parents = [x for x in items if isinstance(x, Tensor)]
-    tensor_slots = [i for i, x in enumerate(items) if isinstance(x, Tensor)]
-
-    def backward(g):
-        return [np.take(g, i, axis=axis) for i in tensor_slots]
-
-    return Tensor(out, parents, backward)
+    out = np.stack([value_of(x) for x in items], axis=axis)
+    return _node(out, items, [lambda g, i=i: np.take(g, i, axis=axis)
+                              for i in range(len(items))])
 
 
 def stack_last(a, b):
     """Stack two same-shape grids along a new trailing axis."""
-    av, bv = value_of(a), value_of(b)
-    out = np.stack([av, bv], axis=-1)
-    if not _is_tensor(a, b):
-        return out
-    parents = [x for x in (a, b) if isinstance(x, Tensor)]
-
-    def backward(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(g[..., 0])
-        if isinstance(b, Tensor):
-            grads.append(g[..., 1])
-        return grads
-
-    return Tensor(out, parents, backward)
+    out = np.stack([value_of(a), value_of(b)], axis=-1)
+    return _node(out, (a, b), (lambda g: g[..., 0], lambda g: g[..., 1]))

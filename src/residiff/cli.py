@@ -211,9 +211,10 @@ def _cmd_mask(cfg: RunConfig, out: _OutputDir) -> int:
     if cfg.mask_protocol == "point":
         grid = dt.mask_point(grid, cfg.mask_p, cfg.mask_seed)
     elif cfg.mask_protocol == "block":
-        grid = dt.mask_block(grid, cfg.mask_p, cfg.mask_block_p,
-                             (cfg.block_len_min, cfg.block_len_max),
-                             cfg.steps_per_hour, cfg.mask_seed)
+        # --mask-p is the point protocol's rate; block keeps its own 5 %
+        grid = dt.mask_block(grid, p_block=cfg.mask_block_p,
+                             len_range=(cfg.block_len_min, cfg.block_len_max),
+                             steps_per_hour=cfg.steps_per_hour, seed=cfg.mask_seed)
     elif cfg.mask_protocol == "node":
         ids = [s.strip() for s in cfg.mask_nodes.split(",") if s.strip()]
         if not ids:
@@ -280,7 +281,7 @@ def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
         raise ConfigError("--checkpoint path is required")
     ckpt = load_checkpoint(cfg.checkpoint)
     # the checkpoint fixes the geometry: window length and node count
-    geometry = ckpt.denoiser.config
+    geometry = ckpt.denoiser_config
     grid, graph = _load_dataset(cfg, geometry.n_window)
     if grid.shape[1] != geometry.n_nodes:
         raise DataError(f"dataset has {grid.shape[1]} nodes, checkpoint "

@@ -15,6 +15,7 @@ CSV formats (all with header rows):
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -127,8 +128,14 @@ def _parse_timestamp(token: str) -> float:
 
 
 def _read_table(path, kind: str):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{kind} file {path}: line {line} is not UTF-8 text") from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if len(rows) < 2:
         raise DataError(f"{kind} file {path} needs a header and data rows")
     header = rows[0]
@@ -137,6 +144,24 @@ def _read_table(path, kind: str):
         if len(row) != width:
             raise DataError(f"{kind} file {path}: ragged row at line {i}")
     return header, rows[1:]
+
+
+def _numbers(rows, path, kind: str, blank: float | None = None) -> np.ndarray:
+    """The cells after each row's label as floats.
+
+    An empty cell reads as ``blank``; without one, it is an error like any
+    other cell that is not a number.
+    """
+    out = np.empty((len(rows), len(rows[0]) - 1))
+    for i, row in enumerate(rows):
+        for j, tok in enumerate(row[1:]):
+            tok = tok.strip()
+            try:
+                out[i, j] = blank if blank is not None and not tok else float(tok)
+            except ValueError:
+                raise DataError(f"{kind} file {path}: {tok!r} at line {i + 2} "
+                                "is not a number") from None
+    return out
 
 
 def load_csv(values_path, adjacency_path, mask_path=None, eval_mask_path=None,
@@ -161,7 +186,7 @@ def load_csv(values_path, adjacency_path, mask_path=None, eval_mask_path=None,
         raise DataError(
             f"adjacency shape {len(a_rows)}x{len(a_header) - 1} does not match {n} nodes"
         )
-    adj = np.array([[float(tok) for tok in row[1:]] for row in a_rows])
+    adj = _numbers(a_rows, adjacency_path, "adjacency")
 
     grid = MaskedGrid(
         values=values,
@@ -177,23 +202,16 @@ def load_csv(values_path, adjacency_path, mask_path=None, eval_mask_path=None,
 def load_values_csv(path):
     """Read a values table alone: (values, timestamps, node_ids); NaN kept."""
     header, rows = _read_table(path, "values")
-    node_ids = header[1:]
-    values = np.full((len(rows), len(node_ids)), np.nan)
-    timestamps = np.zeros(len(rows))
-    for i, row in enumerate(rows):
-        timestamps[i] = _parse_timestamp(row[0])
-        for j, tok in enumerate(row[1:]):
-            tok = tok.strip()
-            values[i, j] = float(tok) if tok not in ("", "nan", "NaN") else np.nan
-    return values, timestamps, node_ids
+    timestamps = np.array([_parse_timestamp(row[0]) for row in rows])
+    return _numbers(rows, path, "values", blank=np.nan), timestamps, header[1:]
 
 
 def _load_mask(path, shape) -> np.ndarray:
     _, rows = _read_table(path, "mask")
-    mask = np.array([[float(tok) != 0.0 for tok in row[1:]] for row in rows])
+    mask = _numbers(rows, path, "mask")
     if mask.shape != shape:
         raise DataError(f"mask shape {mask.shape} does not match values {shape}")
-    return mask
+    return mask != 0.0
 
 
 def save_values_csv(path, values, timestamps, node_ids, observed_mask=None):

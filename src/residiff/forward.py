@@ -52,8 +52,9 @@ def _per_item(arr: np.ndarray, t: np.ndarray, grid_ndim: int):
     return vals.reshape(vals.shape + (1,) * (grid_ndim - 1))
 
 
-def _coeffs(sched: NoiseSchedule, t, grid_ndim: int):
+def _coeffs(sched: NoiseSchedule, t, grid):
     t = _check_t(sched, t)
+    grid_ndim = np.ndim(ad.value_of(grid))
     beta = _per_item(sched.beta, t - 1, grid_ndim)
     astep = _per_item(sched.alpha_step, t - 1, grid_ndim)
     acum_prev = _per_item(sched.alpha_cum, t - 1, grid_ndim)
@@ -67,18 +68,13 @@ def _apply_mask(grid, target_mask):
     return ad.mul(grid, np.asarray(target_mask, dtype=np.float64))
 
 
-def _grid_ndim(x) -> int:
-    v = x.value if isinstance(x, ad.Tensor) else np.asarray(x)
-    return v.ndim
-
-
 def q_sample(z0m, z0c, t, eps, sched: NoiseSchedule, target_mask=None):
     """Closed-form diffused grid at step t via the reparameterization trick.
 
     ``t`` may be a scalar step or an int array matching the leading axis of
     batched grids.  The result is zeroed outside target cells.
     """
-    _, _, _, acum = _coeffs(sched, t, _grid_ndim(z0m))
+    _, _, _, acum = _coeffs(sched, t, z0m)
     out = ad.add(
         ad.mul(np.sqrt(acum), ad.add(z0m, z0c)),
         ad.mul(np.sqrt(1.0 - acum), eps),
@@ -88,7 +84,7 @@ def q_sample(z0m, z0c, t, eps, sched: NoiseSchedule, target_mask=None):
 
 def q_step_sample(z_prev, z0c, t, eps, sched: NoiseSchedule, target_mask=None):
     """Single forward transition; verification-only (see module docstring)."""
-    beta, astep, _, _ = _coeffs(sched, t, _grid_ndim(z_prev))
+    beta, astep, _, _ = _coeffs(sched, t, z_prev)
     out = ad.add(
         ad.mul(np.sqrt(astep), ad.add(z_prev, z0c)),
         ad.mul(np.sqrt(beta), eps),
@@ -102,7 +98,7 @@ def posterior_mean_z0(z_t, z0m, z0c, t, sched: NoiseSchedule, target_mask=None):
     At t = 1 this is exactly z0m + z0c for any z_t (alpha_cum[0] = 1 makes
     the z_t coefficient vanish).
     """
-    beta, astep, acum_prev, acum = _coeffs(sched, t, _grid_ndim(z_t))
+    beta, astep, acum_prev, acum = _coeffs(sched, t, z_t)
     denom = 1.0 - acum
     c_zt = np.sqrt(astep) * (1.0 - acum_prev) / denom
     c_z0m = np.sqrt(acum_prev) * beta / denom
@@ -120,7 +116,7 @@ def posterior_mean_eps(z_t, z0c, eps_hat, t, sched: NoiseSchedule, target_mask=N
     Substituting the marginal's inversion of z0m into ``posterior_mean_z0``
     yields this form; the two agree to floating-point accuracy (audited).
     """
-    beta, astep, acum_prev, acum = _coeffs(sched, t, _grid_ndim(z_t))
+    beta, astep, acum_prev, acum = _coeffs(sched, t, z_t)
     denom = 1.0 - acum
     inv_sqrt_astep = 1.0 / np.sqrt(astep)
     c_z0c = astep * np.sqrt(astep) * (1.0 - acum_prev) / denom

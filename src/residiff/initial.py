@@ -37,9 +37,6 @@ __all__ = [
     "init_loss",
 ]
 
-_DIRECTION_TENSORS = ("w_x", "w_m", "W_h", "b_h", "w_p", "w_q", "b_p")
-
-
 @dataclass
 class InitialModel:
     strategy: str = "node_mean"
@@ -53,14 +50,6 @@ class InitialModel:
     @property
     def trainable(self) -> bool:
         return self.strategy == "trainable"
-
-    def tensor_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.params)) if self.trainable else ()
-
-    def copy(self) -> "InitialModel":
-        return InitialModel(
-            self.strategy, self.hidden, {k: v.copy() for k, v in self.params.items()}
-        )
 
 
 def init_trainable_params(hidden: int, rng: np.random.Generator) -> dict:
@@ -122,8 +111,7 @@ def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray)
     graph hop, and predicts the next value from the previous state.  The two
     directions are averaged and merged with the visible cells.
     """
-    vals = values.value if isinstance(values, ad.Tensor) else np.asarray(values)
-    b, L, n = vals.shape
+    b, L, n = values.shape
     vis = np.asarray(visible, dtype=np.float64)
     preds = {}
     for prefix, order in (("fwd", range(L)), ("bwd", range(L - 1, -1, -1))):
@@ -140,8 +128,7 @@ def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray)
             )
             step_preds[i] = pred
             m_i = vis[:, i]
-            x_i = values[:, i] if isinstance(values, ad.Tensor) else vals[:, i]
-            v_i = ad.add(ad.mul(m_i, x_i), ad.mul(1.0 - m_i, pred))
+            v_i = ad.add(ad.mul(m_i, values[:, i]), ad.mul(1.0 - m_i, pred))
             pre = ad.add(
                 ad.add(
                     ad.mul(ad.reshape(v_i, (b, n, 1)), w_x),
@@ -159,8 +146,9 @@ def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray)
 def impute_initial(values, visible, graph, model: InitialModel, params=None):
     """Deterministic fill of every non-visible cell of (B, L, N) windows.
 
-    ``params`` overrides the trainable model's arrays, e.g. with autodiff
-    Tensors so the fill is differentiable; the result is then a Tensor.
+    ``params`` overrides the trainable model's arrays, e.g. with
+    ``ad.leaves`` of them so the fill is differentiable; the result is then
+    a Tensor.
     """
     adj = getattr(graph, "adjacency", graph)
     if model.trainable:

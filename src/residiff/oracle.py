@@ -7,7 +7,8 @@ the chains are elementwise), which lets each closed-form formula elsewhere
 be checked against an independent recursion instead of against itself.
 
 Independence rule: nothing here reuses arithmetic helpers from the modules
-under audit.  The only shared object is the schedule, which is data.
+under audit.  The only shared object is the schedule, which is data; the
+gradient audit takes its analytic side from the tape it checks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -189,22 +191,23 @@ def sampler_pushforward_coeffs(
     return out
 
 
-def finite_diff_check(params, graph, batch, step: float = 1e-3) -> dict:
-    """Central-difference audit of the denoiser's analytic gradients.
+def finite_diff_check(loss_fn, params: dict, step: float = 1e-3) -> dict:
+    """Central-difference audit of the tape's gradients of ``loss_fn``.
 
-    ``batch`` is (z_t, z0c, t, eps, target_mask).  For every parameter
-    element, the loss is evaluated at +/- step and the centered difference is
-    compared to the taped gradient.  Relative error uses a per-tensor scale
-    floor so exactly-zero gradients (unused embedding rows) do not blow up
-    the ratio.  Intended for small instances only.
+    ``loss_fn(p)`` builds a scalar loss from a name -> array dict.  It runs
+    once taped on ``ad.leaves(params)`` for the analytic gradients, then
+    tape-free on ``params`` itself with each element moved by +/- step in
+    turn.  Relative error uses a per-tensor scale floor so exactly-zero
+    gradients (unused embedding rows) do not blow up the ratio.  Intended for
+    small instances only.
     """
-    from . import denoiser as dn
-
-    loss, grads = dn.loss_and_grads(params, graph, *batch)
+    leaves = ad.leaves(params)
+    loss = loss_fn(leaves)
+    loss.backward()
+    grads = ad.grads(leaves)
     report: dict[str, float] = {}
     worst = 0.0
-    for name in params.tensor_names():
-        arr = getattr(params, name)
+    for name, arr in params.items():
         analytic = grads[name]
         numeric = np.zeros_like(arr)
         flat = arr.reshape(-1)
@@ -212,9 +215,9 @@ def finite_diff_check(params, graph, batch, step: float = 1e-3) -> dict:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = dn.batch_loss(params, graph, *batch)
+            up = float(loss_fn(params))
             flat[i] = orig - step
-            down = dn.batch_loss(params, graph, *batch)
+            down = float(loss_fn(params))
             flat[i] = orig
             num_flat[i] = (up - down) / (2.0 * step)
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
@@ -222,7 +225,7 @@ def finite_diff_check(params, graph, batch, step: float = 1e-3) -> dict:
         err = float(np.max(np.abs(analytic - numeric) / denom))
         report[name] = err
         worst = max(worst, err)
-    return {"max_rel_err": worst, "per_tensor": report, "loss": float(loss)}
+    return {"max_rel_err": worst, "per_tensor": report, "loss": float(loss.value)}
 
 
 # --- independent plain-DDPM reference (condition identically zero) ---------

@@ -152,6 +152,7 @@ class _SamplerSetup:
         cfg = checkpoint.config
         self.sched = checkpoint.sched
         self.params = checkpoint.denoiser
+        self.config = checkpoint.denoiser_config
         self.flags = cfg
         self.x = x
         self.stats = checkpoint.stats
@@ -164,7 +165,7 @@ class _SamplerSetup:
         self.a_hat = dn.normalized_adjacency(adjacency)
 
         L = x.shape[0]
-        n_window = self.params.config.n_window
+        n_window = self.config.n_window
         self.slices = [slice(i, min(i + n_window, L)) for i in range(0, L, n_window)]
         self.time_index = x.window_index
 
@@ -204,7 +205,7 @@ class _SamplerSetup:
             for lo in range(0, z_batch.shape[0], chunk):
                 hi = min(lo + chunk, z_batch.shape[0])
                 preds[lo:hi] = dn.forward(
-                    self.params, self.params.config,
+                    self.params, self.config,
                     z_batch[lo:hi], cond[lo:hi], t, self.a_hat, tidx[lo:hi],
                 )
             for w, sl in enumerate(sls):

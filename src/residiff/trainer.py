@@ -125,11 +125,15 @@ class TrainConfig:
 @dataclass
 class Checkpoint:
     sched: NoiseSchedule
-    denoiser: dn.DenoiserParams
+    denoiser: dict[str, np.ndarray]  # laid out by dn.param_shapes
     initial: ini.InitialModel
-    stats: dt.NormStats
+    stats: dt.NormStats  # one mean and std per node
     config: TrainConfig
     version: int = 1
+
+    @property
+    def denoiser_config(self) -> dn.DenoiserConfig:
+        return self.config.denoiser_config(len(self.stats.mean))
 
 
 @dataclass
@@ -141,25 +145,23 @@ class TrainResult:
 class Adam:
     """Standard adaptive first-order optimizer over a dict of arrays."""
 
-    def __init__(self, names, lr: float, beta1: float = 0.9,
+    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {n: None for n in names}
-        self.v: dict[str, np.ndarray] = {n: None for n in names}
+        self.m = {n: np.zeros_like(arr) for n, arr in params.items()}
+        self.v = {n: np.zeros_like(arr) for n, arr in params.items()}
 
     def step(self, params: dict, grads: dict):
+        """Update ``params`` (the dict given at construction) in place."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for name, arr in params.items():
             g = grads[name]
-            if self.m[name] is None:
-                self.m[name] = np.zeros_like(arr)
-                self.v[name] = np.zeros_like(arr)
             m, v = self.m[name], self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
@@ -203,8 +205,7 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     model.params = ini.init_trainable_params(config.init_hidden, rng)
     if config.skip_pretrain:
         return model, []
-    names = model.tensor_names()
-    adam = Adam(names, config.learning_rate)
+    adam = Adam(model.params, config.learning_rate)
     losses = []
     L = grid.shape[0]
     for _ in range(config.pretrain_epochs):
@@ -216,17 +217,20 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
                 continue
             values, vis, target = values[keep], vis[keep], target[keep]
             cond_vis = vis & ~target
-            pt = {n: ad.Tensor(model.params[n]) for n in names}
-            x_init = ini.impute_initial(values, cond_vis, graph, model, pt)
+            leaves = ad.leaves(model.params)
+            x_init = ini.impute_initial(values, cond_vis, graph, model, leaves)
             loss = ini.init_loss(x_init, values, target, config.init_norm)
             if not np.isfinite(loss.value):
                 raise NumericError("non-finite pretraining loss")
             loss.backward()
-            grads = {n: pt[n].grad if pt[n].grad is not None
-                     else np.zeros_like(model.params[n]) for n in names}
-            adam.step(model.params, grads)
+            adam.step(model.params, ad.grads(leaves))
             losses.append(float(loss.value))
     return model, losses
+
+
+def _group(arrays: dict, prefix: str) -> dict:
+    """The entries named ``prefix/<name>``, keyed by ``<name>``."""
+    return {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith(prefix + "/")}
 
 
 def _slice_windows(grid: dt.MaskedGrid, starts, n_window: int):
@@ -257,10 +261,10 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     a_hat = dn.normalized_adjacency(graph.adjacency)
 
     train_initial = model.trainable and not config.freeze_initial
-    opt_params = {f"denoiser/{n}": getattr(dparams, n) for n in dparams.tensor_names()}
+    opt_params = {f"denoiser/{n}": arr for n, arr in dparams.items()}
     if train_initial:
-        opt_params.update({f"initial/{n}": model.params[n] for n in model.tensor_names()})
-    adam = Adam(opt_params.keys(), config.learning_rate)
+        opt_params.update({f"initial/{n}": arr for n, arr in model.params.items()})
+    adam = Adam(opt_params, config.learning_rate)
 
     log = []
     step = 0
@@ -282,10 +286,9 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
                 values[keep], cond_vis[keep], target[keep], widx[keep])
             b = values.shape[0]
 
-            pt_init = None
-            if train_initial:
-                pt_init = {n: ad.Tensor(model.params[n]) for n in model.tensor_names()}
-            x_init = ini.impute_initial(values, cond_vis, graph, model, pt_init)
+            leaves = ad.leaves(opt_params)
+            x_init = ini.impute_initial(values, cond_vis, graph, model,
+                                        _group(leaves, "initial") if train_initial else None)
             z0m, z0c = ini.residual_and_condition(
                 x_init, values, target, sign=config.residual_sign,
                 no_residual=config.no_residual)
@@ -295,8 +298,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
             eps = rng.standard_normal(values.shape)
             z_t = q_sample(z0m, z0c_fwd, t_draw, eps, sched, target)
 
-            pt_dn = dn.wrap_params(dparams)
-            net_out = dn.forward(pt_dn, dcfg, z_t, z0c, t_draw, a_hat, widx)
+            net_out = dn.forward(_group(leaves, "denoiser"), dcfg, z_t, z0c, t_draw, a_hat, widx)
             if config.predict_x0:
                 loss_simple = dn.masked_mse(net_out, z0m, target)
             else:
@@ -305,23 +307,13 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
             loss_joint = ad.add(loss_simple, ad.mul(loss_init, config.lam))
 
             ls = float(loss_simple.value)
-            li = float(loss_init.value if isinstance(loss_init, ad.Tensor) else loss_init)
+            li = float(ad.value_of(loss_init))
             lj = float(loss_joint.value)
             if not np.isfinite(lj):
                 raise NumericError(f"non-finite joint loss at step {step}: "
                                    f"simple={ls} init={li}")
             loss_joint.backward()
-            grads = {}
-            for n in dparams.tensor_names():
-                g = getattr(pt_dn, n).grad
-                grads[f"denoiser/{n}"] = g if g is not None else np.zeros_like(
-                    getattr(dparams, n))
-            if train_initial:
-                for n in model.tensor_names():
-                    g = pt_init[n].grad
-                    grads[f"initial/{n}"] = g if g is not None else np.zeros_like(
-                        model.params[n])
-            adam.step(opt_params, grads)
+            adam.step(opt_params, ad.grads(leaves))
             log.append((step, ls, li, lj))
             step += 1
 
@@ -349,9 +341,9 @@ def _checkpoint_arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:
         "norm/mean": ckpt.stats.mean,
         "norm/std": ckpt.stats.std,
     }
-    for n in ckpt.denoiser.tensor_names():
-        arrays[f"denoiser/{n}"] = getattr(ckpt.denoiser, n)
-    for n in ckpt.initial.tensor_names():
+    for n, arr in ckpt.denoiser.items():
+        arrays[f"denoiser/{n}"] = arr
+    for n in sorted(ckpt.initial.params):
         arrays[f"initial/{n}"] = ckpt.initial.params[n]
     return arrays
 
@@ -375,7 +367,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "config": asdict(ckpt.config),
         "initial_strategy": ckpt.initial.strategy,
         "initial_hidden": ckpt.initial.hidden,
-        "n_nodes": ckpt.denoiser.config.n_nodes,
+        "n_nodes": ckpt.denoiser_config.n_nodes,
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -421,20 +413,22 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         config = TrainConfig.from_dict(sidecar["config"])
+        n_nodes = int(sidecar["n_nodes"])
+        dshapes = dn.param_shapes(config.denoiser_config(n_nodes))
+        shapes = {"norm/mean": (n_nodes,), "norm/std": (n_nodes,),
+                  **{f"denoiser/{n}": shape for n, shape in dshapes.items()}}
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise DataError(f"checkpoint {path}: {name} has shape "
+                                f"{arrays[name].shape}, its sidecar implies {shape}")
         sched = NoiseSchedule.from_arrays(
             arrays["schedule/beta"], arrays["schedule/alpha_step"],
             arrays["schedule/alpha_cum"], arrays["schedule/beta_tilde"],
         )
         stats = dt.NormStats(mean=arrays["norm/mean"], std=arrays["norm/std"])
-        dparams = dn.DenoiserParams(
-            config=config.denoiser_config(int(sidecar["n_nodes"])),
-            **{n: arrays[f"denoiser/{n}"] for n in dn.DenoiserParams.tensor_names()},
-        )
-        model = ini.InitialModel(
-            sidecar["initial_strategy"], int(sidecar["initial_hidden"]),
-            {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith("initial/")},
-        )
-    except (KeyError, TypeError) as exc:
+        model = ini.InitialModel(sidecar["initial_strategy"], int(sidecar["initial_hidden"]),
+                                 _group(arrays, "initial"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
-    return Checkpoint(sched=sched, denoiser=dparams, initial=model,
-                      stats=stats, config=config, version=version)
+    return Checkpoint(sched=sched, denoiser={n: arrays[f"denoiser/{n}"] for n in dshapes},
+                      initial=model, stats=stats, config=config, version=version)

@@ -200,7 +200,10 @@ def test_c07_gradient_check():
     eps = rng.standard_normal((2, 4, 3))
     mask = rng.random((2, 4, 3)) < 0.6
     mask[0, 0, 0] = True
-    rep = orc.finite_diff_check(params, adj, (z_t, z0c, t, eps, mask), step=1e-3)
+    a_hat = dn.normalized_adjacency(adj)
+    rep = orc.finite_diff_check(
+        lambda p: dn.masked_mse(dn.forward(p, cfg, z_t, z0c, t, a_hat), eps, mask),
+        params, step=1e-3)
     report(7, "gradients vs central finite differences",
            rep["max_rel_err"] <= 1e-4,
            f"max relative error {rep['max_rel_err']:.2e} (tol 1e-4)", t0)

@@ -241,3 +241,50 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, text):
     assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
     _one_line_error(capsys, "config error:")
     assert not out.exists()
+
+
+def test_block_masking_keeps_its_own_point_rate(pipeline, tmp_path):
+    from residiff import data as dt
+
+    _, ds, _, _ = pipeline
+    out = tmp_path / "blk"
+    # --mask-p (default 0.25) belongs to the point protocol only
+    assert main(["mask", "--data", str(ds), "--out", str(out),
+                 "--mask-protocol", "block", "--mask-seed", "4"]) == 0
+    grid, _ = dt.load_csv(ds / "values.csv", ds / "adjacency.csv")
+    masked, _ = dt.load_csv(out / "values.csv", out / "adjacency.csv",
+                            eval_mask_path=out / "eval_mask.csv")
+    expect = dt.mask_block(grid, p_block=0.0015, seed=4)
+    np.testing.assert_array_equal(masked.eval_mask, expect.eval_mask)
+    assert masked.eval_mask.mean() < 0.15
+
+
+def test_garbled_csv_exits_3_without_output(pipeline, tmp_path, capsys):
+    _, ds, _, _ = pipeline
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("values.csv", "adjacency.csv"):
+        (bad / name).write_bytes((ds / name).read_bytes())
+    lines = (ds / "values.csv").read_text().splitlines(keepends=True)
+    lines[5] = lines[5].replace(",", ",x", 1)
+    (bad / "values.csv").write_text("".join(lines))
+    out = tmp_path / "o"
+    assert main(["mask", "--data", str(bad), "--out", str(out)]) == 3
+    _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["d", "t_steps"])
+def test_impute_checkpoint_that_disagrees_with_its_sidecar_exits_3(
+        pipeline, tmp_path, capsys, key):
+    _, _, dsm, run = pipeline
+    ck = tmp_path / "ck.bin"
+    ck.write_bytes((run / "checkpoint.bin").read_bytes())
+    sidecar = json.loads((run / "checkpoint.bin.json").read_text())
+    sidecar["config"][key] *= 2
+    (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(ck),
+                 "--out", str(out), "--samples", "2"]) == 3
+    _one_line_error(capsys, "data error:")
+    assert not out.exists()

@@ -72,6 +72,46 @@ class TestCsvRoundTrip:
             dt.load_csv(tmp_path / "values.csv", tmp_path / "adjacency.csv")
 
 
+# one cell of each file is marked "@"; a test garbles it or fills in 1
+MARKED_CSV = {
+    "values.csv": "time,a,b\n0,1.0,2.0\n1,@,4.0\n",
+    "observed_mask.csv": "time,a,b\n0,1,0\n1,1,@\n",
+    "adjacency.csv": "node,a,b\na,0,1\nb,@,0\n",
+}
+
+
+def load_marked(directory, garbled: str = "", cell: bytes = b"1"):
+    for name, text in MARKED_CSV.items():
+        (directory / name).write_bytes(
+            text.encode().replace(b"@", cell if name == garbled else b"1"))
+    return dt.load_csv(directory / "values.csv", directory / "adjacency.csv",
+                       mask_path=directory / "observed_mask.csv")
+
+
+class TestGarbledCsv:
+    def test_marked_files_load(self, tmp_path):
+        grid, graph = load_marked(tmp_path)
+        assert grid.values.tolist() == [[1.0, 2.0], [1.0, 4.0]]
+        assert grid.observed_mask.tolist() == [[True, False], [True, True]]
+        assert graph.adjacency.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("name", sorted(MARKED_CSV))
+    def test_non_numeric_cell_is_a_data_error(self, tmp_path, name):
+        with pytest.raises(DataError, match=rf"{name}: 'x7' at line 3 is not a number"):
+            load_marked(tmp_path, name, b"x7")
+
+    @pytest.mark.parametrize("name", sorted(MARKED_CSV))
+    def test_non_utf8_bytes_are_a_data_error(self, tmp_path, name):
+        with pytest.raises(DataError, match=rf"{name}: line 3 is not UTF-8"):
+            load_marked(tmp_path, name, b"\xff\xfe")
+
+    @pytest.mark.parametrize("name", ["adjacency.csv", "observed_mask.csv"])
+    def test_empty_mask_or_adjacency_cell_is_a_data_error(self, tmp_path, name):
+        # an empty values cell is unobserved; elsewhere a cell must hold a number
+        with pytest.raises(DataError, match=rf"{name}: '' at line 3 is not a number"):
+            load_marked(tmp_path, name, b"")
+
+
 class TestGraphValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(DataError):

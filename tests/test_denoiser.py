@@ -7,6 +7,15 @@ from residiff import oracle as orc
 from residiff.errors import ConfigError
 
 
+def eps_hat(p, cfg, adj, z, c, t):
+    return dn.forward(p, cfg, z, c, t, dn.normalized_adjacency(adj))
+
+
+def noise_loss(cfg, adj, z, c, t, eps, mask):
+    """The training step's noise loss as a function of the parameter dict."""
+    return lambda p: dn.masked_mse(eps_hat(p, cfg, adj, z, c, t), eps, mask)
+
+
 @pytest.fixture
 def small():
     cfg = dn.DenoiserConfig(n_window=4, n_nodes=3, n_steps=5, d=8,
@@ -26,31 +35,36 @@ def test_config_validation():
 
 def test_output_shape_contract(small):
     cfg, params, adj, rng = small
-    z = rng.standard_normal((4, 3))
-    c = rng.standard_normal((4, 3))
-    out = dn.predict_eps(params, z, c, 2, adj)
-    assert out.shape == (4, 3)
-    out = dn.predict_eps(params, z[None], c[None], 2, adj)
+    z = rng.standard_normal((1, 4, 3))
+    c = rng.standard_normal((1, 4, 3))
+    out = eps_hat(params, cfg, adj, z, c, 2)
     assert out.shape == (1, 4, 3)
-    batch = dn.predict_eps(params, np.stack([z, z]), np.stack([c, c]),
-                           np.array([1, 5]), adj)
+    batch = eps_hat(params, cfg, adj, np.concatenate([z, z]), np.concatenate([c, c]),
+                    np.array([1, 5]))
     assert batch.shape == (2, 4, 3)
+
+
+def test_param_shapes_lay_out_init_params(small):
+    cfg, params, adj, rng = small
+    shapes = dn.param_shapes(cfg)
+    assert list(params) == list(shapes)
+    assert {n: a.shape for n, a in params.items()} == shapes
 
 
 def test_zero_head_gives_zero_output(small):
     cfg, params, adj, rng = small
-    params.head[:] = 0.0
-    out = dn.predict_eps(params, rng.standard_normal((4, 3)),
-                         rng.standard_normal((4, 3)), 3, adj)
+    params["head"][:] = 0.0
+    out = eps_hat(params, cfg, adj, rng.standard_normal((1, 4, 3)),
+                  rng.standard_normal((1, 4, 3)), 3)
     np.testing.assert_array_equal(out, 0.0)
 
 
 def test_determinism_bit_identical(small):
     cfg, params, adj, rng = small
-    z = rng.standard_normal((4, 3))
-    c = rng.standard_normal((4, 3))
-    a = dn.predict_eps(params, z, c, 2, adj)
-    b = dn.predict_eps(params, z.copy(), c.copy(), 2, adj)
+    z = rng.standard_normal((1, 4, 3))
+    c = rng.standard_normal((1, 4, 3))
+    a = eps_hat(params, cfg, adj, z, c, 2)
+    b = eps_hat(params, cfg, adj, z.copy(), c.copy(), 2)
     assert np.array_equal(a, b)
 
 
@@ -61,12 +75,12 @@ def test_attention_rows_sum_to_one(small, monkeypatch):
 
     def tap(x, axis=-1):
         out = orig(x, axis)
-        captured.append(np.asarray(out if not isinstance(out, ad.Tensor) else out.value))
+        captured.append(np.asarray(ad.value_of(out)))
         return out
 
     monkeypatch.setattr(dn.ad, "softmax", tap)
-    dn.predict_eps(params, rng.standard_normal((4, 3)),
-                   rng.standard_normal((4, 3)), 1, adj)
+    eps_hat(params, cfg, adj, rng.standard_normal((1, 4, 3)),
+            rng.standard_normal((1, 4, 3)), 1)
     assert len(captured) == 2  # one temporal, one spatial block
     for attn in captured:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -74,27 +88,26 @@ def test_attention_rows_sum_to_one(small, monkeypatch):
 
 def test_locality_with_mixing_disabled(small):
     cfg, params, adj, rng = small
-    params.graph_weight[:] = 0.0
-    params.tem_wo[:] = 0.0
-    params.spa_wo[:] = 0.0
-    z = rng.standard_normal((4, 3))
-    c = rng.standard_normal((4, 3))
-    base = dn.predict_eps(params, z, c, 2, adj)
+    for name in ("graph_weight", "tem_wo", "spa_wo"):
+        params[name][:] = 0.0
+    z = rng.standard_normal((1, 4, 3))
+    c = rng.standard_normal((1, 4, 3))
+    base = eps_hat(params, cfg, adj, z, c, 2)
     # perturb outside the conv receptive field of cell (0, 0): other node
     z2 = z.copy()
-    z2[0, 2] += 10.0
-    out = dn.predict_eps(params, z2, c, 2, adj)
-    assert out[0, 0] == base[0, 0]
+    z2[0, 0, 2] += 10.0
+    out = eps_hat(params, cfg, adj, z2, c, 2)
+    assert out[0, 0, 0] == base[0, 0, 0]
     # same node two steps away in time (width-3 kernel reaches one step)
     z3 = z.copy()
-    z3[3, 0] += 10.0
-    out = dn.predict_eps(params, z3, c, 2, adj)
-    assert out[0, 0] == base[0, 0]
+    z3[0, 3, 0] += 10.0
+    out = eps_hat(params, cfg, adj, z3, c, 2)
+    assert out[0, 0, 0] == base[0, 0, 0]
     # within the receptive field the output must move
     z4 = z.copy()
-    z4[1, 0] += 10.0
-    out = dn.predict_eps(params, z4, c, 2, adj)
-    assert out[0, 0] != base[0, 0]
+    z4[0, 1, 0] += 10.0
+    out = eps_hat(params, cfg, adj, z4, c, 2)
+    assert out[0, 0, 0] != base[0, 0, 0]
 
 
 def test_normalized_adjacency_symmetric_rows():
@@ -111,10 +124,14 @@ def test_loss_perfect_fit_and_head_stationarity(small):
     c = rng.standard_normal((2, 4, 3))
     t = np.array([1, 2])
     mask = np.ones((2, 4, 3), dtype=bool)
-    eps_hat = dn.predict_eps(params, z, c, t, adj)
-    loss, grads = dn.loss_and_grads(params, adj, z, c, t, eps_hat, mask)
-    assert loss == pytest.approx(0.0, abs=1e-24)
-    for name in params.tensor_names():
+    target = eps_hat(params, cfg, adj, z, c, t)
+    leaves = ad.leaves(params)
+    loss = noise_loss(cfg, adj, z, c, t, target, mask)(leaves)
+    loss.backward()
+    grads = ad.grads(leaves)
+    assert float(loss.value) == pytest.approx(0.0, abs=1e-24)
+    assert list(grads) == list(params)
+    for name in params:
         np.testing.assert_allclose(grads[name], 0.0, atol=1e-10)
 
 
@@ -132,7 +149,7 @@ def test_loss_masking_contract(small):
     eps = rng.standard_normal((1, 4, 3))
     t = np.array([3])
     z_t = q_sample(z0m, z0c, t, eps, sched, mask)
-    base = dn.batch_loss(params, adj, z_t, z0c, t, eps, mask)
+    base = float(noise_loss(cfg, adj, z_t, z0c, t, eps, mask)(params))
     # perturb everything outside the target cells; the pipeline zero-fills
     # them, so the loss cannot move
     off = ~mask
@@ -140,7 +157,7 @@ def test_loss_masking_contract(small):
     z0c2 = z0c.copy()
     eps2 = eps + 3.0 * off
     z_t2 = q_sample(z0m2 * maskf, z0c2 * maskf, t, eps2, sched, mask)
-    after = dn.batch_loss(params, adj, z_t2, z0c2 * maskf, t, eps2, mask)
+    after = float(noise_loss(cfg, adj, z_t2, z0c2 * maskf, t, eps2, mask)(params))
     # eps outside the mask does not enter the masked mean either
     assert after == pytest.approx(base, abs=1e-12)
 
@@ -149,8 +166,8 @@ def test_loss_rejects_empty_mask(small):
     cfg, params, adj, rng = small
     z = rng.standard_normal((1, 4, 3))
     with pytest.raises(ValueError):
-        dn.loss_and_grads(params, adj, z, z, np.array([1]), z,
-                          np.zeros((1, 4, 3), dtype=bool))
+        noise_loss(cfg, adj, z, z, np.array([1]), z,
+                   np.zeros((1, 4, 3), dtype=bool))(ad.leaves(params))
 
 
 def test_gradients_match_finite_differences(small):
@@ -161,15 +178,16 @@ def test_gradients_match_finite_differences(small):
     eps = rng.standard_normal((2, 4, 3))
     mask = rng.random((2, 4, 3)) < 0.6
     mask[0, 0, 0] = True
-    report = orc.finite_diff_check(params, adj, (z, c, t, eps, mask), step=1e-3)
+    report = orc.finite_diff_check(noise_loss(cfg, adj, z, c, t, eps, mask), params,
+                                   step=1e-3)
     assert report["max_rel_err"] <= 1e-4
 
 
 def test_step_out_of_range_and_node_mismatch(small):
     cfg, params, adj, rng = small
-    z = rng.standard_normal((4, 3))
+    z = rng.standard_normal((1, 4, 3))
     with pytest.raises(IndexError):
-        dn.predict_eps(params, z, z, 6, adj)
+        eps_hat(params, cfg, adj, z, z, 6)
     with pytest.raises(ValueError):
-        dn.predict_eps(params, rng.standard_normal((4, 5)),
-                       rng.standard_normal((4, 5)), 1, np.zeros((5, 5)))
+        eps_hat(params, cfg, np.zeros((5, 5)), rng.standard_normal((1, 4, 5)),
+                rng.standard_normal((1, 4, 5)), 1)

@@ -103,7 +103,7 @@ def test_tensor_params_make_the_fill_differentiable():
     model = ini.InitialModel("trainable", hidden=4, params=ini.init_trainable_params(4, rng))
     values = rng.standard_normal((2, 6, 3))
     visible = rng.random((2, 6, 3)) < 0.6
-    pt = {k: ad.Tensor(v) for k, v in model.params.items()}
+    pt = ad.leaves(model.params)
     out = ini.impute_initial(values, visible, LINE3, model, pt)
     assert isinstance(out, ad.Tensor)
     np.testing.assert_array_equal(out.value, ini.impute_initial(values, visible, LINE3, model))
@@ -202,7 +202,7 @@ class TestInitLoss:
 def test_trainable_fill_is_differentiable_and_mergeable():
     rng = np.random.default_rng(2)
     params = ini.init_trainable_params(4, rng)
-    pt = {k: ad.Tensor(v) for k, v in params.items()}
+    pt = ad.leaves(params)
     values = rng.standard_normal((2, 6, 3))
     visible = rng.random((2, 6, 3)) < 0.6
     mix = np.eye(3)

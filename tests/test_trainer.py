@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from residiff import autodiff as ad
 from residiff import data as dt
 from residiff import denoiser as dn
 from residiff import initial as ini
@@ -104,12 +105,18 @@ def test_one_adam_step_decreases_loss_on_fixed_batch():
         eps = rng.standard_normal((3, 6, 4))
         t = rng.integers(1, 6, size=3)
         z_t = q_sample(z0m, z0c, t, eps, sched, mask)
-        batch = (z_t, z0c, t, eps, mask)
-        before, grads = dn.loss_and_grads(params, adj, *batch)
-        opt = tr.Adam([n for n in params.tensor_names()], lr=1e-3)
-        opt.step({n: getattr(params, n) for n in params.tensor_names()}, grads)
-        after = dn.batch_loss(params, adj, *batch)
-        drops.append(before - after)
+        a_hat = dn.normalized_adjacency(adj)
+
+        def loss_fn(p):
+            return dn.masked_mse(dn.forward(p, cfg, z_t, z0c, t, a_hat), eps, mask)
+
+        leaves = ad.leaves(params)
+        before = loss_fn(leaves)
+        before.backward()
+        opt = tr.Adam(params, lr=1e-3)
+        opt.step(params, ad.grads(leaves))
+        after = float(loss_fn(params))
+        drops.append(float(before.value) - after)
     assert np.median(drops) > 0
 
 
@@ -122,7 +129,7 @@ def test_train_joint_runs_and_loss_decomposition(tiny_data):
         assert lj == ls + 0.3 * li  # exact float identity
     ck = result.checkpoint
     assert ck.sched.T == 6
-    assert ck.denoiser.config.n_nodes == 6
+    assert ck.denoiser_config.n_nodes == 6
 
 
 def test_lambda_zero_frozen_initial_unchanged(tiny_data):
@@ -198,9 +205,9 @@ class TestCheckpointContainer:
             tmp_path / "ck2.bin.json").read_text()
         np.testing.assert_array_equal(loaded.sched.beta, ck.sched.beta)
         np.testing.assert_array_equal(loaded.stats.mean, ck.stats.mean)
-        for n in ck.denoiser.tensor_names():
-            np.testing.assert_array_equal(getattr(loaded.denoiser, n),
-                                          getattr(ck.denoiser, n))
+        assert list(loaded.denoiser) == list(ck.denoiser)
+        for n, v in ck.denoiser.items():
+            np.testing.assert_array_equal(loaded.denoiser[n], v)
         for k, v in ck.initial.params.items():
             np.testing.assert_array_equal(loaded.initial.params[k], v)
         assert loaded.config == ck.config
@@ -252,7 +259,7 @@ class TestCorruptCheckpoint:
         with pytest.raises(DataError, match="trailing"):
             tr.load_checkpoint(cut)
         cut.write_bytes(blob)
-        assert tr.load_checkpoint(cut).denoiser.config.n_nodes == 5
+        assert tr.load_checkpoint(cut).denoiser_config.n_nodes == 5
 
     def test_missing_sidecar_is_a_data_error(self, tmp_path):
         path = tmp_path / "ck.bin"
@@ -273,6 +280,26 @@ class TestCorruptCheckpoint:
         path = tmp_path / "ck.bin"
         _tiny_checkpoint(path)
         with pytest.raises(DataError, match="denoiser/head"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,array", [("d", "denoiser/conv_kernel"),
+                                           ("t_steps", "denoiser/step_table")])
+    def test_array_shapes_must_match_the_sidecar(self, tmp_path, key, array):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        sidecar["config"][key] *= 2
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError, match=array):
+            tr.load_checkpoint(path)
+
+    def test_norm_stats_must_have_one_entry_per_node(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        sidecar["n_nodes"] = 4
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError, match="norm/mean"):
             tr.load_checkpoint(path)
 
     def test_missing_file_is_a_data_error(self, tmp_path):
