@@ -4,14 +4,15 @@ Subcommands: synth, mask, pretrain, train, impute, eval, verify, sweep.
 Configuration comes from an optional JSON file (flat keys) plus ``--key
 value`` overrides; every run echoes its fully resolved config and root seed
 into the output directory, so re-running from that echo reproduces the
-artifacts bit-exactly.  Exit codes: 0 success, 2 config error, 3 data
-error, 4 numeric failure.
+artifacts bit-exactly.  Exit codes: 0 success, 1 unexpected error, 2 config
+error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import shutil
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 from . import data as dt
 from . import sampler as sp
 from .audit import run_audits
-from .errors import ConfigError, DataError, NumericError, ResidiffError
+from .errors import ConfigError, DataError, NumericError
 from .trainer import (
     Checkpoint,
     TrainConfig,
@@ -34,7 +35,7 @@ from .trainer import (
     train_joint,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "keep_freed_memory", "main"]
 
 
 @dataclass
@@ -386,6 +387,37 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputDir) -> int:
     return 0
 
 
+# glibc mallopt parameters and values: the largest mmap threshold a 64-bit
+# glibc accepts, and a trim threshold far above the working set of any command
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+def keep_freed_memory() -> bool:
+    """Keep freed allocations in the process heap for reuse; True if in effect.
+
+    Every denoiser call allocates tens of megabytes of short-lived numpy
+    temporaries.  Under glibc's default dynamic thresholds the large ones are
+    mmapped and the heap top is trimmed, so each call's pages go back to the
+    kernel and are faulted in again by the next call.  Fixing both thresholds
+    (which also ends glibc's dynamic adjustment) lets the T reverse steps and
+    every training step reuse the same pages.  The CLI owns its process and
+    calls this; importing the library changes nothing.  Without glibc's
+    ``mallopt`` this does nothing and returns False; calling it again is
+    harmless.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
 _COMMANDS = {
     "synth": _cmd_synth,
     "mask": _cmd_mask,
@@ -398,7 +430,20 @@ _COMMANDS = {
 }
 
 
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and message prefix; an exception outside the taxonomy is a
+    defect, not bad input, and exits 1 naming its type."""
+    if isinstance(exc, ConfigError):
+        return 2, "config error"
+    if isinstance(exc, DataError):
+        return 3, "data error"
+    if isinstance(exc, (NumericError, FloatingPointError)):
+        return 4, "numeric failure"
+    return 1, f"error: {type(exc).__name__}"
+
+
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="residiff",
         description="Two-stage residual-diffusion imputation for "
@@ -414,26 +459,13 @@ def main(argv=None) -> int:
         out = _OutputDir(cfg.out)
         _echo_config(out, cfg)
         return _COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except Exception as exc:
         if out:
             out.cleanup()
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        if out:
-            out.cleanup()
-        return 3
-    except (NumericError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        if out:
-            out.cleanup()
-        return 4
-    except ResidiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if out:
-            out.cleanup()
-        return 1
+        code, prefix = _failure(exc)
+        message = " ".join(str(exc).splitlines())
+        print(f"{prefix}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

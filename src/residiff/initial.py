@@ -28,6 +28,7 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "InitialModel",
+    "param_shapes",
     "init_trainable_params",
     "impute_initial",
     "node_mean_fill",
@@ -52,18 +53,31 @@ class InitialModel:
         return self.strategy == "trainable"
 
 
-def init_trainable_params(hidden: int, rng: np.random.Generator) -> dict:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases, per direction."""
-    params: dict[str, np.ndarray] = {}
+def param_shapes(hidden: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trainable-fill tensor, in draw order."""
+    shapes: dict[str, tuple[int, ...]] = {}
     for prefix in ("fwd", "bwd"):
-        params[f"{prefix}_w_x"] = rng.uniform(-1.0, 1.0, size=hidden)
-        params[f"{prefix}_w_m"] = rng.uniform(-1.0, 1.0, size=hidden)
-        bound = 1.0 / np.sqrt(hidden)
-        params[f"{prefix}_W_h"] = rng.uniform(-bound, bound, size=(hidden, hidden))
-        params[f"{prefix}_b_h"] = np.zeros(hidden)
-        params[f"{prefix}_w_p"] = rng.uniform(-bound, bound, size=hidden)
-        params[f"{prefix}_w_q"] = rng.uniform(-bound, bound, size=hidden)
-        params[f"{prefix}_b_p"] = np.zeros(1)
+        shapes.update({
+            f"{prefix}_w_x": (hidden,), f"{prefix}_w_m": (hidden,),
+            f"{prefix}_W_h": (hidden, hidden), f"{prefix}_b_h": (hidden,),
+            f"{prefix}_w_p": (hidden,), f"{prefix}_w_q": (hidden,),
+            f"{prefix}_b_p": (1,),
+        })
+    return shapes
+
+
+def init_trainable_params(hidden: int, rng: np.random.Generator) -> dict:
+    """Zero biases; uniform +-1 for the scalar-input weights w_x and w_m,
+    +-1/sqrt(hidden) for the rest; drawn in ``param_shapes`` order."""
+    bound = 1.0 / np.sqrt(hidden)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(hidden).items():
+        kind = name.split("_", 1)[1]
+        if kind.startswith("b_"):
+            params[name] = np.zeros(shape)
+        else:
+            scale = 1.0 if kind in ("w_x", "w_m") else bound
+            params[name] = rng.uniform(-scale, scale, size=shape)
     return params
 
 

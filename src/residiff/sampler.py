@@ -21,7 +21,9 @@ from the terminal state before combining the residual with the rough fill.
 Each sample chain owns an RNG stream derived from (root seed, sample index),
 so results are independent of batching and chunk sizes.  Non-visible cells
 are initialized from standard normal noise on target cells only; visible
-cells pass through untouched in every sample.
+cells pass through untouched in every sample.  The chain state is checked
+once per reverse step; a non-finite one raises ``NumericError`` naming the
+step.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from . import data as dt
 from . import denoiser as dn
 from . import initial as ini
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .forward import posterior_mean_eps, posterior_mean_z0
 from .schedule import NoiseSchedule
 
@@ -269,6 +271,12 @@ def _draw(rngs: list[np.random.Generator], shape) -> np.ndarray:
     return np.stack([r.standard_normal(shape) for r in rngs])
 
 
+def _check_finite(z: np.ndarray, step: str) -> None:
+    """One pass over the chain state; a diverged chain is a NumericError."""
+    if not np.isfinite(z).all():
+        raise NumericError(f"sampling chain went non-finite at {step}")
+
+
 def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
                      rng: np.random.Generator, chunk: int = 128) -> ImputationResult:
     """Full-length reverse sampling of S imputations (Alg-style ancestral)."""
@@ -284,6 +292,7 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
         z = ancestral_step(z, setup.z0c_chain, t, net_out, sched,
                            target_mask=setup.target, noise=noise,
                            predict_x0=setup.flags.predict_x0)
+        _check_finite(z, f"ancestral step t={t}")
     return setup.finalize(z)
 
 
@@ -305,4 +314,5 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph, K: int,
         eps_hat = setup.eps_from_output(net_out, z, t)
         noise = _draw(rngs, x.shape) if d > 0 else None
         z = accelerated_step(z, eps_hat, t, t_prev, d, sched, noise, setup.target)
+        _check_finite(z, f"accelerated step {t}->{t_prev}")
     return setup.finalize(z)

@@ -415,8 +415,11 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig.from_dict(sidecar["config"])
         n_nodes = int(sidecar["n_nodes"])
         dshapes = dn.param_shapes(config.denoiser_config(n_nodes))
+        model = ini.InitialModel(sidecar["initial_strategy"], int(sidecar["initial_hidden"]))
+        ishapes = ini.param_shapes(model.hidden) if model.trainable else {}
         shapes = {"norm/mean": (n_nodes,), "norm/std": (n_nodes,),
-                  **{f"denoiser/{n}": shape for n, shape in dshapes.items()}}
+                  **{f"denoiser/{n}": shape for n, shape in dshapes.items()},
+                  **{f"initial/{n}": shape for n, shape in ishapes.items()}}
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise DataError(f"checkpoint {path}: {name} has shape "
@@ -426,8 +429,10 @@ def load_checkpoint(path) -> Checkpoint:
             arrays["schedule/alpha_cum"], arrays["schedule/beta_tilde"],
         )
         stats = dt.NormStats(mean=arrays["norm/mean"], std=arrays["norm/std"])
-        model = ini.InitialModel(sidecar["initial_strategy"], int(sidecar["initial_hidden"]),
-                                 _group(arrays, "initial"))
+        model.params = {n: arrays[f"initial/{n}"] for n in ishapes}
+    except ConfigError as exc:
+        # the bad input is the checkpoint's sidecar, not the run's config
+        raise DataError(f"checkpoint {path} has an invalid sidecar config: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
     return Checkpoint(sched=sched, denoiser={n: arrays[f"denoiser/{n}"] for n in dshapes},

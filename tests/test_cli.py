@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,3 +291,97 @@ def test_impute_checkpoint_that_disagrees_with_its_sidecar_exits_3(
                  "--out", str(out), "--samples", "2"]) == 3
     _one_line_error(capsys, "data error:")
     assert not out.exists()
+
+
+def test_impute_checkpoint_with_an_invalid_sidecar_config_exits_3(pipeline, tmp_path,
+                                                                   capsys):
+    _, _, dsm, run = pipeline
+    ck = tmp_path / "ck.bin"
+    ck.write_bytes((run / "checkpoint.bin").read_bytes())
+    sidecar = json.loads((run / "checkpoint.bin.json").read_text())
+    sidecar["config"]["head_count"] = 3  # does not divide d = 16
+    (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(ck),
+                 "--out", str(out), "--samples", "2"]) == 3
+    _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
+def test_unexpected_exception_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
+    from residiff import cli
+
+    def boom(cfg, out):
+        (out.path / "partial.csv").write_text("x")
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", boom)
+    out = tmp_path / "x"
+    assert main(["synth", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: RuntimeError: boom second line"]
+    assert not out.exists()
+
+    def interrupted(cfg, out):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["synth", "--out", str(out)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sampler", ["ancestral", "ddim"])
+def test_impute_non_finite_chain_exits_4(pipeline, tmp_path, capsys, diverge_at, sampler):
+    _, _, dsm, run = pipeline
+    diverge_at(1)  # the last step of both chains
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(run / "checkpoint.bin"),
+                 "--out", str(out), "--samples", "2", "--sampler", sampler,
+                 "--accelerate-steps", "3"]) == 4
+    _one_line_error(capsys, "numeric failure:")
+    assert not out.exists()
+
+
+_FAULT_PROBE = """
+import json, resource
+import numpy as np
+import residiff
+from residiff import cli
+from residiff import denoiser as dn
+
+cfg = dn.DenoiserConfig(n_window=24, n_nodes=20, n_steps=50, d=32)
+rng = np.random.default_rng(0)
+params = dn.init_params(cfg, rng)
+z, cond = rng.standard_normal((2, 18, 24, 20))
+a_hat = dn.normalized_adjacency(np.ones((20, 20)) - np.eye(20))
+tidx = np.tile(np.arange(24), (18, 1))
+
+def second_forward_faults():
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        dn.forward(params, cfg, z, cond, 10, a_hat, tidx)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+default = second_forward_faults()
+applied = cli.keep_freed_memory()
+print(json.dumps({"default": default, "applied": applied,
+                  "kept": second_forward_faults()}))
+"""
+
+
+def test_cli_allocator_policy_ends_page_fault_churn():
+    """The allocator policy is process-wide, so it is probed in a child."""
+    import residiff
+
+    src = str(Path(residiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    if not probe["applied"]:
+        pytest.skip("no glibc mallopt: the policy is unavailable here")
+    # importing residiff (and residiff.cli) leaves glibc's defaults in place
+    assert probe["default"] > 1000, probe
+    assert probe["kept"] < 200, probe

@@ -6,7 +6,7 @@ import pytest
 from residiff import data as dt
 from residiff import oracle as orc
 from residiff import sampler as sp
-from residiff.errors import ConfigError
+from residiff.errors import ConfigError, NumericError
 from residiff.schedule import build_linear_schedule
 from residiff.trainer import TrainConfig, train_joint
 
@@ -227,6 +227,20 @@ def test_samplers_run_the_audited_step_functions(tiny_run, monkeypatch, predict_
     assert calls == {"ancestral_step": ckpt.sched.T, "accelerated_step": 0}
     sp.accelerated_impute(ckpt, grid, graph, K=3, S=2, rng=np.random.default_rng(0))
     assert calls["accelerated_step"] == len(sp.substep_schedule(ckpt.sched.T, 3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sampler,step", [("ancestral", "t=4"), ("accelerated", "4->1")])
+def test_non_finite_chain_is_a_numeric_error_naming_the_step(tiny_run, diverge_at,
+                                                             sampler, step):
+    grid, graph, ckpt = tiny_run
+    diverge_at(4)  # T = 6; the K = 3 accelerated chain visits 6, 4, 1
+    rng = np.random.default_rng(0)
+    with pytest.raises(NumericError, match=f"step {step}$"):
+        if sampler == "ancestral":
+            sp.ancestral_impute(ckpt, grid, graph, S=2, rng=rng)
+        else:
+            sp.accelerated_impute(ckpt, grid, graph, K=3, S=2, rng=rng)
 
 
 def _exact_oracle_predict(monkeypatch, ckpt, grid):

@@ -229,15 +229,21 @@ class TestCheckpointContainer:
             tr.load_checkpoint(p)
 
 
-def _tiny_checkpoint(path):
-    """A 5-node, d = 8, T = 5 checkpoint written to ``path`` (about 7.5 KB)."""
+def _tiny_checkpoint(path, strategy="node_mean"):
+    """A 5-node, d = 8, T = 5 checkpoint written to ``path`` (about 7.5 KB
+    with the default parameterless fill; a trainable fill has hidden 4)."""
     from residiff.schedule import build_linear_schedule
 
-    cfg = tr.TrainConfig(t_steps=5, d=8, head_count=2, n_window=12)
+    cfg = tr.TrainConfig(t_steps=5, d=8, head_count=2, n_window=12,
+                         strategy=strategy, init_hidden=4)
+    rng = np.random.default_rng(0)
+    model = ini.InitialModel(strategy, 4)
+    if model.trainable:
+        model.params = ini.init_trainable_params(4, rng)
     ck = tr.Checkpoint(
         sched=build_linear_schedule(5, 0.05, 0.3),
-        denoiser=dn.init_params(cfg.denoiser_config(5), np.random.default_rng(0)),
-        initial=ini.InitialModel(), stats=dt.NormStats(np.zeros(5), np.ones(5)),
+        denoiser=dn.init_params(cfg.denoiser_config(5), rng),
+        initial=model, stats=dt.NormStats(np.zeros(5), np.ones(5)),
         config=cfg,
     )
     tr.save_checkpoint(ck, path)
@@ -291,6 +297,31 @@ class TestCorruptCheckpoint:
         sidecar["config"][key] *= 2
         (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
         with pytest.raises(DataError, match=array):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("strategy,edit", [
+        ("trainable", {"initial_hidden": 8}),
+        ("trainable", {"initial_hidden": 2}),
+        ("node_mean", {"initial_strategy": "trainable"}),
+    ])
+    def test_fill_arrays_must_match_the_sidecar(self, tmp_path, strategy, edit):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path, strategy)
+        assert tr.load_checkpoint(path).initial.params.keys() == (
+            ini.param_shapes(4).keys() if strategy == "trainable" else set())
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        sidecar.update(edit)
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError, match="initial/fwd_w_x"):
+            tr.load_checkpoint(path)
+
+    def test_invalid_sidecar_config_is_a_data_error(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        sidecar["config"]["head_count"] = 3  # does not divide d = 8
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError, match="head count"):
             tr.load_checkpoint(path)
 
     def test_norm_stats_must_have_one_entry_per_node(self, tmp_path):
