@@ -170,8 +170,8 @@ def _echo_config(out: _OutputDir, cfg: RunConfig):
         fh.write("\n")
 
 
-def _load_dataset(cfg: RunConfig, n_window: int | None = None):
-    """Load ``--data``; ``n_window`` (default ``--n-window``) sets the window index."""
+def _load_dataset(cfg: RunConfig):
+    """Load the dataset directory named by ``--data``."""
     if not cfg.data:
         raise ConfigError("--data directory is required")
     d = Path(cfg.data)
@@ -186,7 +186,6 @@ def _load_dataset(cfg: RunConfig, n_window: int | None = None):
         adjacency,
         mask_path=observed if observed.exists() else None,
         eval_mask_path=eval_mask if eval_mask.exists() else None,
-        n_window=n_window or cfg.n_window,
     )
 
 
@@ -250,10 +249,8 @@ def _cmd_pretrain(cfg: RunConfig, out: _OutputDir) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     from . import denoiser as dn
-    from .schedule import build_linear_schedule
 
     ckpt = Checkpoint(
-        sched=build_linear_schedule(tcfg.t_steps, tcfg.beta_min, tcfg.beta_max),
         denoiser=dn.init_params(tcfg.denoiser_config(grid.shape[1]), rng),
         initial=model, stats=stats, config=tcfg,
     )
@@ -283,7 +280,7 @@ def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
     ckpt = load_checkpoint(cfg.checkpoint)
     # the checkpoint fixes the geometry: window length and node count
     geometry = ckpt.denoiser_config
-    grid, graph = _load_dataset(cfg, geometry.n_window)
+    grid, graph = _load_dataset(cfg)
     if grid.shape[1] != geometry.n_nodes:
         raise DataError(f"dataset has {grid.shape[1]} nodes, checkpoint "
                         f"{cfg.checkpoint} was trained on {geometry.n_nodes}")
@@ -353,32 +350,33 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> int:
     return 0
 
 
+def _sweep_list(name: str, raw: str, kind) -> list:
+    """A comma-separated sweep grid; a malformed entry is a config error."""
+    return [_coerce(name, x, kind) for x in raw.split(",")]
+
+
 def _cmd_sweep(cfg: RunConfig, out: _OutputDir) -> int:
     """One-factor-at-a-time sensitivity sweeps on a synthetic dataset."""
+    grids = [("t_steps", _sweep_list("sweep-t", cfg.sweep_t, int)),
+             ("lam", _sweep_list("sweep-lam", cfg.sweep_lam, float)),
+             ("accelerate_steps", _sweep_list("sweep-k", cfg.sweep_k, int))]
     params = dt.SynthParams(steps_per_day=cfg.steps_per_day)
     grid, graph = dt.synth_generate(cfg.seed, cfg.n_nodes, cfg.data_steps, params)
     grid = dt.mask_point(grid, cfg.mask_p, cfg.mask_seed)
-    rows = []
 
-    def run(t_steps, lam, k):
+    def run(t_steps, lam, accelerate_steps):
         tcfg = replace(_train_config(cfg), t_steps=t_steps, lam=lam)
         result = train_joint(grid, graph, tcfg)
         rng = np.random.default_rng(cfg.seed)
         res = sp.accelerated_impute(result.checkpoint, grid, graph,
-                                    min(k, t_steps), cfg.samples, rng, cfg.eta)
+                                    min(accelerate_steps, t_steps), cfg.samples,
+                                    rng, cfg.eta)
         return res.metrics
 
-    base_t, base_lam = cfg.t_steps, cfg.lam
-    base_k = cfg.accelerate_steps
-    for t_steps in [int(x) for x in cfg.sweep_t.split(",")]:
-        m = run(t_steps, base_lam, base_k)
-        rows.append(("t_steps", t_steps, m))
-    for lam in [float(x) for x in cfg.sweep_lam.split(",")]:
-        m = run(base_t, lam, base_k)
-        rows.append(("lam", lam, m))
-    for k in [int(x) for x in cfg.sweep_k.split(",")]:
-        m = run(base_t, base_lam, k)
-        rows.append(("accelerate_steps", k, m))
+    base = {"t_steps": cfg.t_steps, "lam": cfg.lam,
+            "accelerate_steps": cfg.accelerate_steps}
+    rows = [(name, value, run(**{**base, name: value}))
+            for name, values in grids for value in values]
     with open(out.file("sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "mae", "mse", "mre"])

@@ -75,7 +75,6 @@ class MaskedGrid:
     observed_mask: np.ndarray  # bool (L, N)
     eval_mask: np.ndarray  # bool (L, N), subset of observed_mask
     timestamps: np.ndarray  # (L,) monotone
-    window_index: np.ndarray  # (L,) ints in [0, n_window)
     node_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -164,8 +163,8 @@ def _numbers(rows, path, kind: str, blank: float | None = None) -> np.ndarray:
     return out
 
 
-def load_csv(values_path, adjacency_path, mask_path=None, eval_mask_path=None,
-             n_window: int = 24) -> tuple[MaskedGrid, Graph]:
+def load_csv(values_path, adjacency_path, mask_path=None,
+             eval_mask_path=None) -> tuple[MaskedGrid, Graph]:
     """Load a dataset directory's CSV files into (MaskedGrid, Graph).
 
     Missing cells may be encoded as empty strings or NaN; a mask file, when
@@ -193,7 +192,6 @@ def load_csv(values_path, adjacency_path, mask_path=None, eval_mask_path=None,
         observed_mask=observed,
         eval_mask=eval_mask,
         timestamps=timestamps,
-        window_index=np.arange(L) % n_window,
         node_ids=list(node_ids),
     )
     return grid, Graph(adj)
@@ -325,7 +323,6 @@ def synth_generate(seed: int, n_nodes: int, n_steps: int,
         observed_mask=np.ones_like(values, dtype=bool),
         eval_mask=np.zeros_like(values, dtype=bool),
         timestamps=np.arange(n_steps, dtype=np.float64),
-        window_index=np.arange(n_steps) % params.steps_per_day,
     )
     return grid, Graph(adj)
 

@@ -166,10 +166,11 @@ class _SamplerSetup:
         adjacency = getattr(graph, "adjacency", graph)
         self.a_hat = dn.normalized_adjacency(adjacency)
 
+        # windows start at multiples of n_window, so the denoiser's default
+        # time index, arange(length) % n_window, is each window's phase
         L = x.shape[0]
         n_window = self.config.n_window
         self.slices = [slice(i, min(i + n_window, L)) for i in range(0, L, n_window)]
-        self.time_index = x.window_index
 
         # the rough fill is computed per window, exactly as during training,
         # so the condition follows the distribution the denoiser was fit on
@@ -190,7 +191,7 @@ class _SamplerSetup:
         by_len: dict[int, list[slice]] = {}
         for sl in self.slices:
             by_len.setdefault(sl.stop - sl.start, []).append(sl)
-        for length, sls in by_len.items():
+        for sls in by_len.values():
             z_batch = np.concatenate(
                 [z_full[:, sl, :] for sl in sls], axis=0
             )  # (S*W, Lw, N)
@@ -199,16 +200,12 @@ class _SamplerSetup:
                  for sl in sls],
                 axis=0,
             )
-            tidx = np.concatenate(
-                [np.broadcast_to(self.time_index[sl], (s_count, length)) for sl in sls],
-                axis=0,
-            )
             preds = np.empty_like(z_batch)
             for lo in range(0, z_batch.shape[0], chunk):
                 hi = min(lo + chunk, z_batch.shape[0])
                 preds[lo:hi] = dn.forward(
                     self.params, self.config,
-                    z_batch[lo:hi], cond[lo:hi], t, self.a_hat, tidx[lo:hi],
+                    z_batch[lo:hi], cond[lo:hi], t, self.a_hat,
                 )
             for w, sl in enumerate(sls):
                 out[:, sl, :] = preds[w * s_count : (w + 1) * s_count]

@@ -58,22 +58,6 @@ class NoiseSchedule:
             beta_tilde=beta_tilde,
         )
 
-    @classmethod
-    def from_arrays(cls, beta, alpha_step, alpha_cum, beta_tilde) -> "NoiseSchedule":
-        """Rebuild from explicitly stored arrays (checkpoint path).
-
-        The arrays are taken as-is so a checkpoint stays valid even if the
-        builder's interpolation ever changes.
-        """
-        beta = np.asarray(beta, dtype=np.float64)
-        return cls(
-            T=beta.shape[0],
-            beta=beta,
-            alpha_step=np.asarray(alpha_step, dtype=np.float64),
-            alpha_cum=np.asarray(alpha_cum, dtype=np.float64),
-            beta_tilde=np.asarray(beta_tilde, dtype=np.float64),
-        )
-
 
 def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linear interpolation between the minimum and maximum noise levels.

@@ -113,23 +113,34 @@ class TrainConfig:
             d=self.d, conv_width=self.conv_width, head_count=self.head_count,
         )
 
+    def schedule(self) -> NoiseSchedule:
+        return build_linear_schedule(self.t_steps, self.beta_min, self.beta_max)
+
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """The config a checkpoint's sidecar echoes; every field must be there."""
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = known - set(d)
+        if missing:
+            raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**d)
 
 
 @dataclass
 class Checkpoint:
-    sched: NoiseSchedule
+    """Trained state; the noise schedule ``sched`` is derived from ``config``
+    on construction, never stored, so the two cannot disagree."""
+
     denoiser: dict[str, np.ndarray]  # laid out by dn.param_shapes
     initial: ini.InitialModel
     stats: dt.NormStats  # one mean and std per node
     config: TrainConfig
-    version: int = 1
+
+    def __post_init__(self):
+        self.sched = self.config.schedule()
 
     @property
     def denoiser_config(self) -> dn.DenoiserConfig:
@@ -210,7 +221,7 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     L = grid.shape[0]
     for _ in range(config.pretrain_epochs):
         for starts in _window_batches(L, config.n_window, config.batch_size, rng):
-            values, vis, _, _ = _slice_windows(grid, starts, config.n_window)
+            values, vis, _ = _slice_windows(grid, starts, config.n_window)
             target = _draw_targets(config, vis, rng)
             keep = target.reshape(len(starts), -1).any(axis=1)
             if not keep.any():
@@ -237,8 +248,7 @@ def _slice_windows(grid: dt.MaskedGrid, starts, n_window: int):
     values = np.stack([grid.values[s : s + n_window] for s in starts])
     vis = np.stack([grid.visible_mask[s : s + n_window] for s in starts])
     ev = np.stack([grid.eval_mask[s : s + n_window] for s in starts])
-    widx = np.stack([grid.window_index[s : s + n_window] for s in starts])
-    return values, vis, ev, widx
+    return values, vis, ev
 
 
 def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
@@ -250,7 +260,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
         rng = np.random.default_rng(config.seed)
 
     grid_n, stats = dt.normalize(grid)
-    sched = build_linear_schedule(config.t_steps, config.beta_min, config.beta_max)
+    sched = config.schedule()
     if config.strategy == "trainable":
         model, _ = pretrain_initial(grid_n, graph, config, rng)
     else:
@@ -271,7 +281,9 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     L = grid.shape[0]
     for _ in range(config.epochs):
         for starts in _window_batches(L, config.n_window, config.batch_size, rng):
-            values, vis, ev, widx = _slice_windows(grid_n, starts, config.n_window)
+            values, vis, ev = _slice_windows(grid_n, starts, config.n_window)
+            # each window's phase in the denoiser's temporal table
+            widx = (starts[:, None] + np.arange(config.n_window)) % config.n_window
             if config.mask_mode == "in_sample":
                 target = ev
                 cond_vis = vis
@@ -317,30 +329,24 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
             log.append((step, ls, li, lj))
             step += 1
 
-    ckpt = Checkpoint(sched=sched, denoiser=dparams, initial=model,
-                      stats=stats, config=config)
+    ckpt = Checkpoint(denoiser=dparams, initial=model, stats=stats, config=config)
     return TrainResult(checkpoint=ckpt, log=log)
 
 
 # --------------------------------------------------------------------------
-# Checkpoint container: versioned binary file plus a JSON config sidecar.
-# Header: magic, u32 version, u32 array count, then per array a u32 name
-# length, the utf-8 name, u32 ndim and u64 dims; payload holds the float64
-# little-endian arrays in declared order.
+# Checkpoint container: versioned binary file plus a JSON sidecar holding the
+# config and the node count, from which the schedule, the fill model and every
+# array's shape follow.  Header: magic, u32 version, u32 array count, then per
+# array a u32 name length, the utf-8 name, u32 ndim and u64 dims; payload holds
+# the float64 little-endian arrays in declared order.  Arrays the loader does
+# not ask for are skipped, so files that still carry ``schedule/*`` arrays load.
 
 _MAGIC = b"RSDFCKPT"
 _FORMAT_VERSION = 1
 
 
 def _checkpoint_arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    arrays = {
-        "schedule/beta": ckpt.sched.beta,
-        "schedule/alpha_step": ckpt.sched.alpha_step,
-        "schedule/alpha_cum": ckpt.sched.alpha_cum,
-        "schedule/beta_tilde": ckpt.sched.beta_tilde,
-        "norm/mean": ckpt.stats.mean,
-        "norm/std": ckpt.stats.std,
-    }
+    arrays = {"norm/mean": ckpt.stats.mean, "norm/std": ckpt.stats.std}
     for n, arr in ckpt.denoiser.items():
         arrays[f"denoiser/{n}"] = arr
     for n in sorted(ckpt.initial.params):
@@ -362,13 +368,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    sidecar = {
-        "format_version": _FORMAT_VERSION,
-        "config": asdict(ckpt.config),
-        "initial_strategy": ckpt.initial.strategy,
-        "initial_hidden": ckpt.initial.hidden,
-        "n_nodes": ckpt.denoiser_config.n_nodes,
-    }
+    sidecar = {"config": asdict(ckpt.config), "n_nodes": ckpt.denoiser_config.n_nodes}
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -408,6 +408,8 @@ def load_checkpoint(path) -> Checkpoint:
     for name, shape in headers:
         raw = take(8 * math.prod(shape))
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"checkpoint {path}: {name} holds non-finite values")
     if off != len(blob):
         raise DataError(f"checkpoint {path} has {len(blob) - off} trailing bytes")
 
@@ -415,7 +417,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig.from_dict(sidecar["config"])
         n_nodes = int(sidecar["n_nodes"])
         dshapes = dn.param_shapes(config.denoiser_config(n_nodes))
-        model = ini.InitialModel(sidecar["initial_strategy"], int(sidecar["initial_hidden"]))
+        model = ini.InitialModel(config.strategy, config.init_hidden)
         ishapes = ini.param_shapes(model.hidden) if model.trainable else {}
         shapes = {"norm/mean": (n_nodes,), "norm/std": (n_nodes,),
                   **{f"denoiser/{n}": shape for n, shape in dshapes.items()},
@@ -424,16 +426,14 @@ def load_checkpoint(path) -> Checkpoint:
             if arrays[name].shape != shape:
                 raise DataError(f"checkpoint {path}: {name} has shape "
                                 f"{arrays[name].shape}, its sidecar implies {shape}")
-        sched = NoiseSchedule.from_arrays(
-            arrays["schedule/beta"], arrays["schedule/alpha_step"],
-            arrays["schedule/alpha_cum"], arrays["schedule/beta_tilde"],
-        )
-        stats = dt.NormStats(mean=arrays["norm/mean"], std=arrays["norm/std"])
+        if np.any(arrays["norm/std"] <= 0):
+            raise DataError(f"checkpoint {path}: norm/std holds an entry <= 0")
         model.params = {n: arrays[f"initial/{n}"] for n in ishapes}
+        return Checkpoint(denoiser={n: arrays[f"denoiser/{n}"] for n in dshapes},
+                          initial=model, config=config,
+                          stats=dt.NormStats(mean=arrays["norm/mean"], std=arrays["norm/std"]))
     except ConfigError as exc:
         # the bad input is the checkpoint's sidecar, not the run's config
         raise DataError(f"checkpoint {path} has an invalid sidecar config: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
-    return Checkpoint(sched=sched, denoiser={n: arrays[f"denoiser/{n}"] for n in dshapes},
-                      initial=model, stats=stats, config=config, version=version)

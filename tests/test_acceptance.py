@@ -281,7 +281,7 @@ def test_c10_probabilistic_calibration():
     L = 600
     sub = dt.MaskedGrid(values=grid.values[:L], observed_mask=grid.observed_mask[:L],
                         eval_mask=grid.eval_mask[:L], timestamps=grid.timestamps[:L],
-                        window_index=grid.window_index[:L], node_ids=list(grid.node_ids))
+                        node_ids=list(grid.node_ids))
     out = sp.accelerated_impute(ckpt, sub, graph, K=10, S=50,
                                 rng=np.random.default_rng(10))
     ev = sub.eval_mask

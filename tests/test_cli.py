@@ -115,6 +115,28 @@ def test_sweep_writes_metric_table(tmp_path):
     assert len(rows) == 4  # one sweep point per grid
 
 
+TINY_SWEEP = ["--n-nodes", "6", "--data-steps", "96", "--epochs", "1", "--batch-size", "4",
+              "--d", "16", "--head-count", "2", "--samples", "2", "--t-steps", "4",
+              "--accelerate-steps", "2", "--seed", "0",
+              "--sweep-t", "4", "--sweep-lam", "0.2", "--sweep-k", "2"]
+
+
+def test_sweep_with_a_window_shorter_than_the_day(tmp_path):
+    # the synthetic day is 24 steps; the temporal table has n_window rows
+    out = tmp_path / "sw"
+    assert main(["sweep", "--out", str(out), *TINY_SWEEP, "--n-window", "12"]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("flag,value", [("--sweep-t", "5,abc"), ("--sweep-lam", "0.2,"),
+                                        ("--sweep-k", "2.5")])
+def test_malformed_sweep_list_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--out", str(out), *TINY_SWEEP, flag, value]) == 2
+    _one_line_error(capsys, f"config error: {flag} expects")
+    assert not out.exists()
+
+
 def test_run_config_sampling_defaults():
     from residiff.cli import RunConfig
 
@@ -184,6 +206,7 @@ def test_ablation_flag_list(pipeline, tmp_path):
 def _one_line_error(capsys, prefix):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
 
 
 def test_impute_takes_window_length_from_checkpoint(pipeline, tmp_path):
@@ -328,6 +351,25 @@ def test_unexpected_exception_exits_1_in_one_line(tmp_path, capsys, monkeypatch)
     monkeypatch.setitem(cli._COMMANDS, "synth", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["synth", "--out", str(out)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("array,value", [
+    ("norm/std", np.nan), ("norm/std", 0.0), ("norm/std", -1.0),
+    ("norm/mean", np.inf), ("denoiser/head", np.inf),
+])
+def test_impute_checkpoint_with_corrupt_values_exits_3(pipeline, tmp_path, capsys,
+                                                       poke_array, array, value):
+    from residiff import trainer as tr
+
+    _, _, dsm, run = pipeline
+    poke_array(array, value)
+    tr.save_checkpoint(tr.load_checkpoint(run / "checkpoint.bin"), tmp_path / "ck.bin")
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(tmp_path / "ck.bin"),
+                 "--out", str(out), "--samples", "2"]) == 3
+    assert array in _one_line_error(capsys, "data error:")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

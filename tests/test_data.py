@@ -35,7 +35,7 @@ class TestCsvRoundTrip:
         dt.save_adjacency_csv(tmp_path / "adjacency.csv", graph, grid.node_ids)
         g2, gr2 = dt.load_csv(tmp_path / "values.csv", tmp_path / "adjacency.csv",
                               tmp_path / "observed_mask.csv",
-                              tmp_path / "eval_mask.csv", n_window=24)
+                              tmp_path / "eval_mask.csv")
         np.testing.assert_array_equal(g2.values, grid.values)
         np.testing.assert_array_equal(g2.observed_mask, grid.observed_mask)
         np.testing.assert_array_equal(g2.eval_mask, grid.eval_mask)
@@ -277,8 +277,7 @@ class TestNormalize:
         grid = dt.MaskedGrid(values=values,
                              observed_mask=np.ones((30, 2), bool),
                              eval_mask=np.zeros((30, 2), bool),
-                             timestamps=np.arange(30.0),
-                             window_index=np.arange(30) % 24)
+                             timestamps=np.arange(30.0))
         normed, stats = dt.normalize(grid)
         assert stats.std[0] == 1.0
         np.testing.assert_allclose(normed.values[:, 0], 0.0)

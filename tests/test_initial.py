@@ -19,7 +19,6 @@ def grid_from(values, observed=None, eval_mask=None):
         observed_mask=observed,
         eval_mask=eval_mask,
         timestamps=np.arange(values.shape[0], dtype=float),
-        window_index=np.arange(values.shape[0]) % 24,
     )
 
 

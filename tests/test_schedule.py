@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from residiff.errors import ConfigError
-from residiff.schedule import NoiseSchedule, build_linear_schedule
+from residiff.schedule import build_linear_schedule
 
 
 def test_table_defaults_endpoints():
@@ -58,13 +58,6 @@ def test_identities_randomized(T):
 def test_builder_rejects_bad_config(args):
     with pytest.raises(ConfigError):
         build_linear_schedule(*args)
-
-
-def test_from_arrays_round_trip():
-    s = build_linear_schedule(7, 0.01, 0.3)
-    s2 = NoiseSchedule.from_arrays(s.beta, s.alpha_step, s.alpha_cum, s.beta_tilde)
-    for name in ("beta", "alpha_step", "alpha_cum", "beta_tilde"):
-        np.testing.assert_array_equal(getattr(s, name), getattr(s2, name))
 
 
 def test_schedule_is_immutable():

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from residiff import denoiser as dn
 from residiff import initial as ini
 from residiff import trainer as tr
 from residiff.errors import ConfigError, DataError, NumericError
+from residiff.schedule import build_linear_schedule
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +88,6 @@ def test_one_adam_step_decreases_loss_on_fixed_batch():
     # the optimizer and gradients must agree well enough that a small step
     # on one batch reduces that batch's loss (checked over three seeds)
     from residiff.forward import q_sample
-    from residiff.schedule import build_linear_schedule
 
     drops = []
     for seed in range(3):
@@ -165,6 +166,26 @@ def test_training_deterministic_bit_identical(tiny_data, tmp_path):
     assert a.log == b.log
 
 
+@pytest.mark.parametrize("steps_per_day,n_window", [(12, 24), (24, 12)])
+def test_window_phase_comes_from_the_window_not_the_grid(tmp_path, steps_per_day,
+                                                         n_window):
+    # a synthetic grid in memory and the same grid read back from CSV train
+    # to the same bytes, whatever day length the grid was generated with
+    grid, graph = dt.synth_generate(1, 6, 96, dt.SynthParams(steps_per_day=steps_per_day))
+    grid = dt.mask_point(grid, 0.3, seed=1)
+    dt.save_values_csv(tmp_path / "values.csv", grid.values, grid.timestamps,
+                       grid.node_ids, grid.observed_mask)
+    dt.save_mask_csv(tmp_path / "eval_mask.csv", grid.eval_mask, grid.timestamps,
+                     grid.node_ids)
+    dt.save_adjacency_csv(tmp_path / "adjacency.csv", graph, grid.node_ids)
+    loaded, graph2 = dt.load_csv(tmp_path / "values.csv", tmp_path / "adjacency.csv",
+                                 eval_mask_path=tmp_path / "eval_mask.csv")
+    cfg = tr.TrainConfig(seed=4, **{**FAST, "n_window": n_window})
+    for name, (g, gr) in {"mem": (grid, graph), "csv": (loaded, graph2)}.items():
+        tr.save_checkpoint(tr.train_joint(g, gr, cfg).checkpoint, tmp_path / f"{name}.bin")
+    assert (tmp_path / "mem.bin").read_bytes() == (tmp_path / "csv.bin").read_bytes()
+
+
 def test_in_sample_mode_uses_annotated_targets(tiny_data):
     grid, graph = tiny_data
     cfg = tr.TrainConfig(mask_mode="in_sample", seed=2, **FAST)
@@ -230,18 +251,15 @@ class TestCheckpointContainer:
 
 
 def _tiny_checkpoint(path, strategy="node_mean"):
-    """A 5-node, d = 8, T = 5 checkpoint written to ``path`` (about 7.5 KB
+    """A 5-node, d = 8, T = 5 checkpoint written to ``path`` (about 7.2 KB
     with the default parameterless fill; a trainable fill has hidden 4)."""
-    from residiff.schedule import build_linear_schedule
-
-    cfg = tr.TrainConfig(t_steps=5, d=8, head_count=2, n_window=12,
-                         strategy=strategy, init_hidden=4)
+    cfg = tr.TrainConfig(t_steps=5, beta_min=0.05, beta_max=0.3, d=8, head_count=2,
+                         n_window=12, strategy=strategy, init_hidden=4)
     rng = np.random.default_rng(0)
     model = ini.InitialModel(strategy, 4)
     if model.trainable:
         model.params = ini.init_trainable_params(4, rng)
     ck = tr.Checkpoint(
-        sched=build_linear_schedule(5, 0.05, 0.3),
         denoiser=dn.init_params(cfg.denoiser_config(5), rng),
         initial=model, stats=dt.NormStats(np.zeros(5), np.ones(5)),
         config=cfg,
@@ -300,20 +318,102 @@ class TestCorruptCheckpoint:
             tr.load_checkpoint(path)
 
     @pytest.mark.parametrize("strategy,edit", [
-        ("trainable", {"initial_hidden": 8}),
-        ("trainable", {"initial_hidden": 2}),
-        ("node_mean", {"initial_strategy": "trainable"}),
+        ("trainable", {"init_hidden": 8}),
+        ("trainable", {"init_hidden": 2}),
+        ("node_mean", {"strategy": "trainable"}),
     ])
     def test_fill_arrays_must_match_the_sidecar(self, tmp_path, strategy, edit):
+        # the sidecar's config alone describes the fill model
         path = tmp_path / "ck.bin"
         _tiny_checkpoint(path, strategy)
         assert tr.load_checkpoint(path).initial.params.keys() == (
             ini.param_shapes(4).keys() if strategy == "trainable" else set())
         sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
-        sidecar.update(edit)
+        sidecar["config"].update(edit)
         (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
         with pytest.raises(DataError, match="initial/fwd_w_x"):
             tr.load_checkpoint(path)
+
+    def test_fill_model_follows_the_config(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path, "trainable")
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        assert set(sidecar) == {"config", "n_nodes"}
+        sidecar["config"]["strategy"] = "node_mean"
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        loaded = tr.load_checkpoint(path)
+        assert (loaded.initial.strategy, loaded.initial.params) == ("node_mean", {})
+        assert loaded.config.strategy == "node_mean"
+
+    @pytest.mark.parametrize("key", ["config", "n_nodes",
+                                     *(f"config.{f.name}" for f in fields(tr.TrainConfig))])
+    def test_sidecar_must_be_complete(self, tmp_path, key):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        owner, _, name = key.rpartition(".")
+        del (sidecar[owner] if owner else sidecar)[name]
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError):
+            tr.load_checkpoint(path)
+
+    def test_schedule_follows_the_sidecar(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        assert tr.load_checkpoint(path).sched.beta[-1] == 0.3
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        sidecar["config"]["beta_max"] = 0.25
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        sched = tr.load_checkpoint(path).sched
+        ref = build_linear_schedule(5, 0.05, 0.25)
+        for name in ("beta", "alpha_step", "alpha_cum", "beta_tilde"):
+            np.testing.assert_array_equal(getattr(sched, name), getattr(ref, name))
+
+    def test_invalid_beta_range_is_a_data_error(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        sidecar["config"]["beta_max"] = 1.5
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError, match="beta_min <= beta_max < 1"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("array,value", [
+        ("norm/std", np.nan), ("norm/std", 0.0), ("norm/std", -1.0),
+        ("norm/mean", np.inf), ("denoiser/head", np.inf), ("denoiser/conv_kernel", np.nan),
+    ])
+    def test_corrupt_values_are_data_errors(self, tmp_path, poke_array, array, value):
+        poke_array(array, value)
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        with pytest.raises(DataError, match=array):
+            tr.load_checkpoint(path)
+
+    def test_checkpoint_in_the_older_layout_loads(self, tmp_path, monkeypatch):
+        # files written before the schedule was derived carry schedule/*
+        # arrays and echo the fill model and format in the sidecar
+        path = tmp_path / "new.bin"
+        ck = _tiny_checkpoint(path, "trainable")
+        arrays = tr._checkpoint_arrays
+
+        def with_schedule(c):
+            return {**{f"schedule/{n}": getattr(c.sched, n)
+                       for n in ("beta", "alpha_step", "alpha_cum", "beta_tilde")},
+                    **arrays(c)}
+
+        monkeypatch.setattr(tr, "_checkpoint_arrays", with_schedule)
+        old = tmp_path / "old.bin"
+        tr.save_checkpoint(ck, old)
+        sidecar = json.loads((tmp_path / "old.bin.json").read_text())
+        sidecar.update(format_version=1, initial_strategy="trainable", initial_hidden=4)
+        (tmp_path / "old.bin.json").write_text(json.dumps(sidecar))
+        monkeypatch.undo()
+        assert len(old.read_bytes()) > len(path.read_bytes())
+        tr.save_checkpoint(tr.load_checkpoint(old), tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+        assert (tmp_path / "again.bin.json").read_text() == (
+            tmp_path / "new.bin.json").read_text()
 
     def test_invalid_sidecar_config_is_a_data_error(self, tmp_path):
         path = tmp_path / "ck.bin"
