@@ -39,7 +39,6 @@ __all__ = [
     "pad",
     "index",
     "take_rows",
-    "stack_seq",
     "stack_last",
 ]
 
@@ -256,13 +255,6 @@ def take_rows(table, idx):
         return full
 
     return _node(tv[idx], (table,), (grad,))
-
-
-def stack_seq(items, axis: int = 1):
-    """Stack a list of same-shape grids along a new axis (default time)."""
-    out = np.stack([value_of(x) for x in items], axis=axis)
-    return _node(out, items, [lambda g, i=i: np.take(g, i, axis=axis)
-                              for i in range(len(items))])
 
 
 def stack_last(a, b):

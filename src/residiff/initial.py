@@ -8,7 +8,10 @@ visible cells and is a finite deterministic fill elsewhere.
                take the normalized-adjacency-weighted average of the others
   trainable    a light bidirectional recurrent cell per node with one graph
                hop per direction; differentiable so joint training can push
-               gradients into it
+               gradients into it.  The whole recurrence is one tape node
+               whose backward is a hand-written backpropagation through
+               time; ``oracle.trainable_fill_reference`` is the same fill
+               unrolled op by op, which the tests hold it to
 
 The residual convention: the diffusion target is fill - truth on target
 cells, and the final imputation is fill - sampled_residual, so a perfectly
@@ -117,44 +120,121 @@ def interp_graph_fill(values: np.ndarray, visible: np.ndarray,
     return np.where(visible, values, out)
 
 
+def _hop(mix: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One graph hop, ``einsum("mn,bnh->bmh", mix, h, optimize=True)``.
+
+    Written out as the transpose, GEMM and transposed view that numpy's
+    einsum runs, so the values match it bit for bit without its per-call
+    path search; the readout of this non-contiguous view then matches too.
+    """
+    b, n, k = h.shape
+    return (h.transpose(0, 2, 1).reshape(b * k, n) @ mix.T).reshape(b, k, n).transpose(0, 2, 1)
+
+
+def _readout(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``einsum("bnh,h->bn", h, w, optimize=True)``, written out like ``_hop``."""
+    b, n, k = h.shape
+    return (w.reshape(1, k) @ h.transpose(2, 0, 1).reshape(k, b * n)).reshape(b, n)
+
+
+def _recur(q: dict, order, values: np.ndarray, vis: np.ndarray, mix: np.ndarray):
+    """One direction of the recurrence over time steps ``order``.
+
+    Returns the (B, L, N) predictions, the hidden states ``hs`` (``hs[s]``
+    enters step s, ``hs[s + 1]`` is its tanh output) and each step's
+    consumed value ``v``, which the backward pass reads.
+    """
+    b, L, n = values.shape
+    w_x, w_m, W_h, b_h = q["w_x"], q["w_m"], q["W_h"], q["b_h"]
+    w_p, w_q, b_p = q["w_p"], q["w_q"], q["b_p"]
+    hs = [np.zeros((b, n, W_h.shape[0]))]
+    vs = []
+    preds = [None] * L
+    for i in order:
+        h = hs[-1]
+        pred = (_readout(h, w_p) + _readout(_hop(mix, h), w_q)) + b_p
+        preds[i] = pred
+        m_i = vis[:, i]
+        v_i = m_i * values[:, i] + (1.0 - m_i) * pred
+        pre = (v_i.reshape(b, n, 1) * w_x + m_i.reshape(b, n, 1) * w_m) + (h @ W_h + b_h)
+        vs.append(v_i)
+        hs.append(np.tanh(pre))
+    return np.stack(preds, axis=1), hs, vs
+
+
+def _bptt(q: dict, order, hs: list, vs: list, vis: np.ndarray, mix: np.ndarray,
+          d_pred: np.ndarray) -> dict:
+    """Backpropagation through time for one direction of ``_recur``.
+
+    ``d_pred`` is the loss gradient of its (B, L, N) predictions.  Only the
+    hidden-state gradient is carried step by step; each parameter's
+    gradient is then one contraction over all steps.
+    """
+    W_h, w_x, w_p, w_q = q["W_h"], q["w_x"], q["w_p"], q["w_q"]
+    k = W_h.shape[0]
+    steps = len(hs) - 1
+    m = np.moveaxis(vis[:, list(order)], 1, 0)        # (steps, B, N)
+    d_pre = np.empty((steps,) + hs[0].shape)
+    d_out = np.empty(m.shape)
+    d_hop = np.empty(m.shape)
+    d_h = np.zeros_like(hs[0])                        # the last state feeds nothing
+    for s in range(steps - 1, -1, -1):
+        dp = d_pre[s] = d_h * (1.0 - hs[s + 1] * hs[s + 1])           # tanh
+        do = d_out[s] = d_pred[:, order[s]] + (dp @ w_x) * (1.0 - m[s])  # v = m x + (1 - m) pred
+        dm = d_hop[s] = do @ mix                                        # graph hop
+        d_h = dp @ W_h.T + do[..., None] * w_p + dm[..., None] * w_q
+    d_pre = d_pre.reshape(-1, k)
+    d_out = d_out.reshape(-1)
+    h_in = np.stack(hs[:-1]).reshape(-1, k)
+    return {
+        "w_x": np.stack(vs).reshape(-1) @ d_pre, "w_m": m.reshape(-1) @ d_pre,
+        "W_h": h_in.T @ d_pre, "b_h": d_pre.sum(axis=0),
+        "w_p": d_out @ h_in, "w_q": d_hop.reshape(-1) @ h_in,
+        "b_p": d_out.sum(keepdims=True),
+    }
+
+
 def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray):
-    """Bidirectional recurrent fill; ``p`` holds tensors by name lookup.
+    """Bidirectional recurrent fill; ``p`` holds tensors by name lookup,
+    ``values`` and ``visible`` are plain (B, L, N) arrays.
 
     Per direction, the cell consumes the visible value (its own running
     prediction where hidden), updates a per-node hidden state, takes one
     graph hop, and predicts the next value from the previous state.  The two
     directions are averaged and merged with the visible cells.
+
+    The whole recurrence is one tape node over the parameters in ``p``:
+    the forward runs tape-free, and the node's gradients come from one
+    backpropagation-through-time pass over its stored states, shared by
+    all parameters and run once per output gradient.
     """
-    b, L, n = values.shape
+    values = np.asarray(values, dtype=np.float64)
     vis = np.asarray(visible, dtype=np.float64)
-    preds = {}
-    for prefix, order in (("fwd", range(L)), ("bwd", range(L - 1, -1, -1))):
-        w_x, w_m = p[f"{prefix}_w_x"], p[f"{prefix}_w_m"]
-        W_h, b_h = p[f"{prefix}_W_h"], p[f"{prefix}_b_h"]
-        w_p, w_q, b_p = p[f"{prefix}_w_p"], p[f"{prefix}_w_q"], p[f"{prefix}_b_p"]
-        h = np.zeros((b, n, hidden))
-        step_preds = [None] * L
-        for i in order:
-            hop = ad.einsum2("mn,bnh->bmh", mix, h)
-            pred = ad.add(
-                ad.add(ad.einsum2("bnh,h->bn", h, w_p), ad.einsum2("bnh,h->bn", hop, w_q)),
-                b_p,
-            )
-            step_preds[i] = pred
-            m_i = vis[:, i]
-            v_i = ad.add(ad.mul(m_i, values[:, i]), ad.mul(1.0 - m_i, pred))
-            pre = ad.add(
-                ad.add(
-                    ad.mul(ad.reshape(v_i, (b, n, 1)), w_x),
-                    ad.mul(m_i.reshape(b, n, 1), w_m),
-                ),
-                ad.add(ad.matmul(h, W_h), b_h),
-            )
-            h = ad.tanh(pre)
-        preds[prefix] = ad.stack_seq(step_preds, axis=1)
-    x_hat = ad.mul(ad.add(preds["fwd"], preds["bwd"]), 0.5)
-    x_obs = ad.mul(values, vis)
-    return ad.add(x_obs, ad.mul(x_hat, 1.0 - vis))
+    L = values.shape[1]
+    names = list(param_shapes(hidden))
+    orders = {"fwd": range(L), "bwd": range(L - 1, -1, -1)}
+    qs = {prefix: {name.split("_", 1)[1]: ad.value_of(p[name])
+                   for name in names if name.startswith(prefix)} for prefix in orders}
+    runs = {prefix: _recur(qs[prefix], order, values, vis, mix)
+            for prefix, order in orders.items()}
+    x_hat = (runs["fwd"][0] + runs["bwd"][0]) * 0.5
+    out = values * vis + x_hat * (1.0 - vis)
+
+    cache = {}
+
+    def grads_for(g):
+        if cache.get("g") is not g:
+            d_pred = g * (1.0 - vis) * 0.5
+            cache.clear()
+            cache["g"] = g
+            for prefix, order in orders.items():
+                _, hs, vs = runs[prefix]
+                for kind, grad in _bptt(qs[prefix], order, hs, vs, vis, mix, d_pred).items():
+                    cache[f"{prefix}_{kind}"] = grad
+        return cache
+
+    return ad._node(out, [p[name] for name in names],
+                    [lambda g, name=name: grads_for(g)[name] for name in names])
 
 
 def impute_initial(values, visible, graph, model: InitialModel, params=None):

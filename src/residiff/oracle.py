@@ -8,7 +8,9 @@ be checked against an independent recursion instead of against itself.
 
 Independence rule: nothing here reuses arithmetic helpers from the modules
 under audit.  The only shared object is the schedule, which is data; the
-gradient audit takes its analytic side from the tape it checks.
+gradient audit takes its analytic side from the tape it checks, and the
+trainable-fill reference is built from the tape's elementary ops, each
+checked against finite differences on its own.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "accel_substep_sigma",
     "sampler_pushforward_coeffs",
     "finite_diff_check",
+    "trainable_fill_reference",
     "ddpm_q_sample",
     "ddpm_posterior_mean_z0",
     "ddpm_posterior_mean_eps",
@@ -226,6 +229,48 @@ def finite_diff_check(loss_fn, params: dict, step: float = 1e-3) -> dict:
         report[name] = err
         worst = max(worst, err)
     return {"max_rel_err": worst, "per_tensor": report, "loss": float(loss.value)}
+
+
+def trainable_fill_reference(p, hidden: int, values, visible, mix):
+    """The trainable rough fill unrolled op by op on the tape.
+
+    The reference for ``initial.trainable_fill``, whose single tape node
+    has a hand-written backward: the same recurrence, built here from the
+    tape's elementary ops (each audited on its own), so its gradients come
+    from the generic reverse pass.  Per-step predictions are placed on the
+    time axis by zero padding and summed, which adds only exact zeros.
+    """
+    b, L, n = values.shape
+    vis = np.asarray(visible, dtype=np.float64)
+    preds = {}
+    for prefix, order in (("fwd", range(L)), ("bwd", range(L - 1, -1, -1))):
+        w_x, w_m = p[f"{prefix}_w_x"], p[f"{prefix}_w_m"]
+        W_h, b_h = p[f"{prefix}_W_h"], p[f"{prefix}_b_h"]
+        w_p, w_q, b_p = p[f"{prefix}_w_p"], p[f"{prefix}_w_q"], p[f"{prefix}_b_p"]
+        h = np.zeros((b, n, hidden))
+        stacked = None
+        for i in order:
+            hop = ad.einsum2("mn,bnh->bmh", mix, h)
+            pred = ad.add(
+                ad.add(ad.einsum2("bnh,h->bn", h, w_p), ad.einsum2("bnh,h->bn", hop, w_q)),
+                b_p,
+            )
+            placed = ad.pad(ad.reshape(pred, (b, 1, n)), ((0, 0), (i, L - 1 - i), (0, 0)))
+            stacked = placed if stacked is None else ad.add(stacked, placed)
+            m_i = vis[:, i]
+            v_i = ad.add(ad.mul(m_i, values[:, i]), ad.mul(1.0 - m_i, pred))
+            pre = ad.add(
+                ad.add(
+                    ad.mul(ad.reshape(v_i, (b, n, 1)), w_x),
+                    ad.mul(m_i.reshape(b, n, 1), w_m),
+                ),
+                ad.add(ad.matmul(h, W_h), b_h),
+            )
+            h = ad.tanh(pre)
+        preds[prefix] = stacked
+    x_hat = ad.mul(ad.add(preds["fwd"], preds["bwd"]), 0.5)
+    x_obs = ad.mul(values, vis)
+    return ad.add(x_obs, ad.mul(x_hat, 1.0 - vis))
 
 
 # --- independent plain-DDPM reference (condition identically zero) ---------

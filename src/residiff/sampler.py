@@ -297,6 +297,8 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph, K: int,
                        S: int, rng: np.random.Generator, eta: float = 1.0,
                        chunk: int = 128) -> ImputationResult:
     """Accelerated sampling over K evenly spaced sub-steps."""
+    if not 0.0 <= eta <= 1.0:  # NaN fails too
+        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
     if S < 1:
         raise ConfigError("sample count must be >= 1")
     setup = _SamplerSetup(checkpoint, x, graph)

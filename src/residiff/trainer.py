@@ -96,8 +96,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.lam < 0:
             raise ConfigError("loss balance must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if self.n_window < 1:
+            raise ConfigError("window length must be >= 1")
         if self.t_steps < 1:
             raise ConfigError("diffusion step count must be >= 1")
         if self.mask_mode not in ("in_sample", "out_of_sample"):

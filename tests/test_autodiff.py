@@ -121,11 +121,9 @@ def test_take_rows_duplicate_indices():
              rng.standard_normal((5, 3)))
 
 
-def test_stack_seq_and_stack_last():
+def test_stack_last():
     def build(t):
-        parts = [t[i] for i in range(3)]
-        s = ad.stack_seq(parts, axis=0)
-        both = ad.stack_last(s, ad.mul(s, 2.0))
+        both = ad.stack_last(t, ad.mul(t, 2.0))
         return ad.sum_(ad.mul(both, both))
 
     check_op(build, rng.standard_normal((3, 4)))

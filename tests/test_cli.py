@@ -331,6 +331,46 @@ def test_impute_checkpoint_with_an_invalid_sidecar_config_exits_3(pipeline, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta", ["2", "-0.5", "nan"])
+def test_impute_eta_outside_unit_interval_exits_2(pipeline, tmp_path, capsys, eta):
+    _, _, dsm, run = pipeline
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(run / "checkpoint.bin"),
+                 "--out", str(out), "--samples", "2", "--sampler", "ddim",
+                 "--accelerate-steps", "3", "--eta", eta]) == 2
+    assert "eta must lie in [0, 1]" in _one_line_error(capsys, "config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n-window", "0", "window length"), ("--learning-rate", "-1", "learning rate"),
+    ("--learning-rate", "0", "learning rate")])
+def test_train_degenerate_window_or_learning_rate_exits_2(pipeline, tmp_path, capsys,
+                                                          flag, value, message):
+    _, _, dsm, _ = pipeline
+    out = tmp_path / "run"
+    args = [*FAST_TRAIN, flag, value]  # the later flag wins
+    assert main(["train", "--data", str(dsm), "--out", str(out), *args]) == 2
+    assert message in _one_line_error(capsys, "config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("n_window", 0), ("learning_rate", -1.0)])
+def test_impute_checkpoint_with_invalid_training_values_exits_3(pipeline, tmp_path,
+                                                                capsys, key, value):
+    _, _, dsm, run = pipeline
+    ck = tmp_path / "ck.bin"
+    ck.write_bytes((run / "checkpoint.bin").read_bytes())
+    sidecar = json.loads((run / "checkpoint.bin.json").read_text())
+    sidecar["config"][key] = value
+    (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(ck),
+                 "--out", str(out), "--samples", "2"]) == 3
+    assert "invalid sidecar config" in _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
 def test_unexpected_exception_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
     from residiff import cli
 

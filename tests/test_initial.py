@@ -1,10 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from residiff import autodiff as ad
 from residiff import data as dt
 from residiff import initial as ini
+from residiff import oracle as orc
+from residiff.cli import main
+from residiff.denoiser import normalized_adjacency
 from residiff.errors import ConfigError, DataError
+
+FIXTURE = Path(__file__).parent / "fixtures" / "trainable_checkpoint"
 
 
 def grid_from(values, observed=None, eval_mask=None):
@@ -212,3 +219,74 @@ def test_trainable_fill_is_differentiable_and_mergeable():
     moved = [k for k in pt if pt[k].grad is not None and np.any(pt[k].grad != 0)]
     assert moved  # gradient reaches the recurrent parameters
     np.testing.assert_array_equal(np.asarray(out.value)[visible], values[visible])
+
+
+def fill_case(b, length, n, hidden, seed=0):
+    """Random parameters and windows whose first node is always visible and
+    whose last node is always hidden."""
+    rng = np.random.default_rng(seed)
+    params = ini.init_trainable_params(hidden, rng)
+    params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in params.items()}
+    values = rng.standard_normal((b, length, n))
+    visible = rng.random((b, length, n)) < 0.6
+    visible[..., 0] = True
+    visible[..., -1] = False
+    # a directed graph: the hop matrix is not symmetric, so its transpose matters
+    mix = normalized_adjacency((rng.random((n, n)) < 0.5).astype(float))
+    return params, values, visible, mix
+
+
+FILL_CASES = [(1, 6, 4, 1), (3, 6, 4, 1), (1, 7, 5, 4), (3, 7, 5, 4),
+              (1, 5, 3, 16), (3, 5, 3, 16), (1, 1, 3, 4), (3, 1, 4, 16)]
+
+
+@pytest.mark.parametrize("b,length,n,hidden", FILL_CASES)
+def test_fused_fill_equals_the_unrolled_reference(b, length, n, hidden):
+    params, values, visible, mix = fill_case(b, length, n, hidden)
+    plain = ini.trainable_fill(params, hidden, values, visible, mix)
+    ref = orc.trainable_fill_reference(params, hidden, values, visible, mix)
+    assert isinstance(plain, np.ndarray) and isinstance(ref, np.ndarray)
+    assert np.array_equal(plain, ref)
+
+    weights = np.random.default_rng(1).standard_normal(values.shape)
+    grads = []
+    for fill in (ini.trainable_fill, orc.trainable_fill_reference):
+        leaves = ad.leaves(params)
+        out = fill(leaves, hidden, values, visible, mix)
+        assert np.array_equal(out.value, plain)
+        ad.sum_(ad.mul(ad.mul(out, out), weights)).backward()
+        grads.append(ad.grads(leaves))
+    fused, unrolled = grads
+    for name, want in unrolled.items():
+        assert fused[name].shape == want.shape
+        tol = 1e-12 * np.max(np.abs(want))
+        np.testing.assert_allclose(fused[name], want, rtol=0, atol=tol, err_msg=name)
+
+
+def test_fused_fill_passes_finite_differences():
+    params, values, visible, mix = fill_case(2, 5, 3, 3, seed=2)
+    target = ~visible
+    report = orc.finite_diff_check(
+        lambda p: ini.init_loss(ini.trainable_fill(p, 3, values, visible, mix),
+                                values, target, "l2"), params)
+    assert report["max_rel_err"] <= 1e-4
+
+
+def test_fused_fill_runs_its_backward_once_per_output_gradient(monkeypatch):
+    params, values, visible, mix = fill_case(2, 4, 3, 4)
+    calls = []
+    bptt = ini._bptt
+    monkeypatch.setattr(ini, "_bptt", lambda *a: calls.append(1) or bptt(*a))
+    leaves = ad.leaves(params)
+    out = ini.trainable_fill(leaves, 4, values, visible, mix)
+    ini.init_loss(out, values, ~visible).backward()
+    assert len(calls) == 2  # one pass per direction serves all 14 parameters
+    assert all(leaf.grad is not None for leaf in leaves.values())
+
+
+def test_checkpoint_from_the_unrolled_fill_imputes_the_same_bytes(tmp_path):
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(FIXTURE / "data"),
+                 "--checkpoint", str(FIXTURE / "checkpoint.bin"), "--out", str(out),
+                 "--samples", "2", "--seed", "5"]) == 0
+    assert (out / "median.csv").read_bytes() == (FIXTURE / "median.csv").read_bytes()

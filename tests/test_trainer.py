@@ -43,6 +43,15 @@ def test_config_validation():
         tr.TrainConfig.from_dict({"no_such_key": 1})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_window", 0), ("n_window", -3), ("learning_rate", -1.0), ("learning_rate", 0.0),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+])
+def test_config_rejects_degenerate_windows_and_learning_rates(field, value):
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(**{field: value})
+
+
 def test_residual_sign_convention():
     assert tr.TrainConfig().residual_sign == 1.0
     assert tr.TrainConfig(flip_residual_sign=True).residual_sign == -1.0
@@ -422,6 +431,18 @@ class TestCorruptCheckpoint:
         sidecar["config"]["head_count"] = 3  # does not divide d = 8
         (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
         with pytest.raises(DataError, match="head count"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_window", 0, "window length"), ("learning_rate", -1.0, "learning rate")])
+    def test_invalid_sidecar_training_values_are_data_errors(self, tmp_path, key, value,
+                                                             message):
+        path = tmp_path / "ck.bin"
+        _tiny_checkpoint(path)
+        sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
+        sidecar["config"][key] = value
+        (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError, match=message):
             tr.load_checkpoint(path)
 
     def test_norm_stats_must_have_one_entry_per_node(self, tmp_path):
