@@ -33,6 +33,7 @@ __all__ = [
     "matmul",
     "einsum2",
     "softmax",
+    "attention",
     "sum_",
     "reshape",
     "transpose",
@@ -203,6 +204,94 @@ def softmax(a, axis: int = -1):
     out /= np.sum(out, axis=axis, keepdims=True)
     return _node(out, (a,),
                  (lambda g: (g - np.sum(g * out, axis=axis, keepdims=True)) * out,))
+
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
+# Longest sequence whose scores ``attention`` lays out key-major.  OpenBLAS
+# 0.3.31's SkylakeX kernels give k qᵀ == (q kᵀ)ᵀ bit for bit up to about
+# 192 x 192 scores per matrix and not beyond; the tests hold the op to the
+# composition on both sides of this limit.
+_KEY_MAJOR_MAX = 128
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis in the order numpy's pairwise sum takes
+    along a contiguous row: ``_pairwise_sum(x)`` equals ``np.sum(y, axis=-1)``
+    bit for bit, where ``y`` is a C-contiguous copy of ``np.moveaxis(x, 0, -1)``.
+
+    Below 8 terms one running sum; up to 128, eight strided accumulators
+    combined as a tree, then the remainder in order; above that, the same
+    on two halves split at n/2 rounded down to a multiple of 8.
+    """
+    n = x.shape[0]
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    if n < 8:
+        res = x[0].copy()
+        for i in range(1, n):
+            res += x[i]
+        return res
+    r = x[:8].copy()
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        r += x[i : i + 8]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(tail, n):
+        res += x[i]
+    return res
+
+
+def attention(q, k, v):
+    """softmax(q kᵀ) v over the last two axes of (..., S, dh) operands with
+    the same leading dimensions.
+
+    Equal to ``oracle.attention_reference``, the op-by-op composition, bit
+    for bit.  For sequences of up to ``_KEY_MAJOR_MAX`` the scores are laid
+    out key-major, ``p[key, ..., query]``, so the softmax's max, exp, sum
+    and divide each run over one long leading axis instead of S-wide
+    trailing rows; the key sum follows numpy's pairwise order
+    (``_pairwise_sum``), and the probabilities are copied back to a
+    contiguous (..., query, key) array before the GEMM with ``v``, whose
+    small-matrix kernels change bits on a strided operand.  That layout gets
+    its scores from ``k @ qᵀ``, which matches ``(q @ kᵀ)ᵀ`` only while BLAS
+    takes its small-matrix kernels, so longer sequences keep the
+    composition's row layout and ``softmax``.  The context is written in
+    q's memory order.  As a tape node, its three gradients come from one
+    backward pass per output gradient, in the composition's operand order.
+    """
+    qv, kv, vv = value_of(q), value_of(k), value_of(v)
+    *batch, s_q, _ = qv.shape
+    s_k = kv.shape[-2]
+    if max(s_q, s_k) <= _KEY_MAJOR_MAX:
+        p = np.empty((s_k, *batch, s_q))
+        np.matmul(kv, np.swapaxes(qv, -1, -2), out=np.moveaxis(p, 0, -2))
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
+        p /= _pairwise_sum(p)
+        attn = np.empty((*batch, s_q, s_k))
+        np.copyto(attn, np.moveaxis(p, 0, -1))
+        del p  # freed before the context is allocated
+    else:
+        attn = softmax(qv @ np.swapaxes(kv, -1, -2))
+    out = np.empty_like(qv, shape=(*batch, s_q, vv.shape[-1]))
+    np.matmul(attn, vv, out=out)
+
+    cache = {}
+
+    def grads_for(g):
+        if cache.get("g") is not g:
+            g_attn = g @ np.swapaxes(vv, -1, -2)
+            gs = (g_attn - np.sum(g_attn * attn, axis=-1, keepdims=True)) * attn
+            cache.clear()
+            cache.update(g=g, q=gs @ kv,
+                         k=np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2),
+                         v=np.swapaxes(attn, -1, -2) @ g)
+        return cache
+
+    return _node(out, (q, k, v), tuple(lambda g, name=name: grads_for(g)[name]
+                                       for name in "qkv"))
 
 
 def sum_(a, axis=None):

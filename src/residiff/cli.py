@@ -360,6 +360,7 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputDir) -> int:
     grids = [("t_steps", _sweep_list("sweep-t", cfg.sweep_t, int)),
              ("lam", _sweep_list("sweep-lam", cfg.sweep_lam, float)),
              ("accelerate_steps", _sweep_list("sweep-k", cfg.sweep_k, int))]
+    sp.check_sampling(cfg.samples, cfg.eta)  # before the first model trains
     params = dt.SynthParams(steps_per_day=cfg.steps_per_day)
     grid, graph = dt.synth_generate(cfg.seed, cfg.n_nodes, cfg.data_steps, params)
     grid = dt.mask_point(grid, cfg.mask_p, cfg.mask_seed)

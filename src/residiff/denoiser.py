@@ -102,8 +102,10 @@ def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
 def _attention(z, p, prefix: str, heads: int):
     """Multi-head self-attention along time (prefix 'tem') or nodes ('spa').
 
-    Sequences are moved into the trailing two axes so the contractions run
-    through batched matmul.
+    Sequences are moved into the trailing two axes, where ``ad.attention``
+    runs softmax(q kᵀ) v as one op; its context comes back in the memory
+    order of the projections, so the inverse transpose and the flattening
+    reshape before the output projection copy nothing.
     """
     b, l, n, d = z.shape
     dh = d // heads
@@ -120,9 +122,7 @@ def _attention(z, p, prefix: str, heads: int):
     # the score scale rides on Q, cheaper than scaling the score tensor
     q = proj("wq", 1.0 / np.sqrt(dh))
     k, v = proj("wk"), proj("wv")
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 2, 4, 3)))
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.transpose(ad.matmul(attn, v), np.argsort(perm))
+    ctx = ad.transpose(ad.attention(q, k, v), np.argsort(perm))
     out = ad.matmul(ad.reshape(ctx, (b * l * n, d)), p[f"{prefix}_wo"])
     return ad.reshape(out, (b, l, n, d))
 

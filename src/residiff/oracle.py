@@ -31,6 +31,7 @@ __all__ = [
     "sampler_pushforward_coeffs",
     "finite_diff_check",
     "trainable_fill_reference",
+    "attention_reference",
     "ddpm_q_sample",
     "ddpm_posterior_mean_z0",
     "ddpm_posterior_mean_eps",
@@ -271,6 +272,20 @@ def trainable_fill_reference(p, hidden: int, values, visible, mix):
     x_hat = ad.mul(ad.add(preds["fwd"], preds["bwd"]), 0.5)
     x_obs = ad.mul(values, vis)
     return ad.add(x_obs, ad.mul(x_hat, 1.0 - vis))
+
+
+def attention_reference(q, k, v):
+    """softmax(q kᵀ) v composed from the tape's elementary ops.
+
+    The reference for ``autodiff.attention``, whose single tape node has a
+    hand-written backward and a key-major softmax: the same product, built
+    here op by op (scores, softmax over the last axis, context), so its
+    gradients come from the generic reverse pass.
+    """
+    nd = np.ndim(ad.value_of(k))
+    axes = (*range(nd - 2), nd - 1, nd - 2)
+    scores = ad.matmul(q, ad.transpose(k, axes))
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
 
 
 # --- independent plain-DDPM reference (condition identically zero) ---------

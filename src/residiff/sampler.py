@@ -49,6 +49,7 @@ __all__ = [
     "substep_noise_std",
     "accelerated_step",
     "accelerated_impute",
+    "check_sampling",
 ]
 
 
@@ -274,11 +275,22 @@ def _check_finite(z: np.ndarray, step: str) -> None:
         raise NumericError(f"sampling chain went non-finite at {step}")
 
 
+def check_sampling(S: int, eta: float = 1.0) -> None:
+    """ConfigError unless the sample count is at least 1 and eta lies in [0, 1].
+
+    The samplers call it first; a command that trains before it samples
+    calls it before training.
+    """
+    if not 0.0 <= eta <= 1.0:  # NaN fails too
+        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
+    if S < 1:
+        raise ConfigError("sample count must be >= 1")
+
+
 def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
                      rng: np.random.Generator, chunk: int = 128) -> ImputationResult:
     """Full-length reverse sampling of S imputations (Alg-style ancestral)."""
-    if S < 1:
-        raise ConfigError("sample count must be >= 1")
+    check_sampling(S)
     setup = _SamplerSetup(checkpoint, x, graph)
     sched = setup.sched
     rngs = _sample_rngs(rng, S)
@@ -297,10 +309,7 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph, K: int,
                        S: int, rng: np.random.Generator, eta: float = 1.0,
                        chunk: int = 128) -> ImputationResult:
     """Accelerated sampling over K evenly spaced sub-steps."""
-    if not 0.0 <= eta <= 1.0:  # NaN fails too
-        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
-    if S < 1:
-        raise ConfigError("sample count must be >= 1")
+    check_sampling(S, eta)
     setup = _SamplerSetup(checkpoint, x, graph)
     sched = setup.sched
     steps = substep_schedule(sched.T, K)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from residiff import autodiff as ad
+from residiff import oracle as orc
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -93,6 +94,62 @@ def test_softmax_rows_sum_to_one_and_grads():
              rng.standard_normal((3, 5)))
 
 
+TEMPORAL = (0, 2, 3, 1, 4)  # the denoiser's (B, L, N, h, dh) -> (B, N, h, L, dh)
+
+
+def attention_run(fn, arrays, w, perm=None):
+    """Output and leaf gradients of sum(fn(q, k, v) * w).
+
+    With ``perm``, the leaves are (B, S, N, h, dh) grids moved into place by
+    a transpose, and the context moved back, as in the denoiser's attention.
+    """
+    leaves = ad.leaves(arrays)
+    q, k, v = (leaves[n] if perm is None else ad.transpose(leaves[n], perm)
+               for n in "qkv")
+    out = fn(q, k, v)
+    if perm is not None:
+        out = ad.transpose(out, np.argsort(perm))
+    ad.sum_(ad.mul(out, w)).backward()
+    return out.value, ad.grads(leaves)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "denoiser_views"])
+@pytest.mark.parametrize("dh", [1, 4, 8])
+@pytest.mark.parametrize("s", [1, 5, 7, 8, 20, 24, 129, 300])
+def test_attention_equals_composition_bit_for_bit(s, dh, layout):
+    shape, perm = ((2, 3, s, dh), None) if layout == "contiguous" else ((2, s, 2, 2, dh), TEMPORAL)
+    arrays = {n: rng.standard_normal(shape) for n in "qkv"}
+    views = [a if perm is None else a.transpose(perm) for a in arrays.values()]
+    assert np.array_equal(ad.attention(*views), orc.attention_reference(*views))
+    w = rng.standard_normal(shape)
+    out, grads = attention_run(ad.attention, arrays, w, perm)
+    ref_out, ref_grads = attention_run(orc.attention_reference, arrays, w, perm)
+    assert np.array_equal(out, ref_out)
+    for name in "qkv":
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_attention_context_keeps_the_query_memory_order():
+    q, k, v = (rng.standard_normal((2, 6, 3, 2, 4)).transpose(TEMPORAL) for _ in range(3))
+    ctx = ad.attention(q, k, v)
+    assert ctx.strides == q.strides
+    assert ctx.transpose(np.argsort(TEMPORAL)).flags.c_contiguous
+
+
+def test_attention_passes_finite_differences():
+    params = {n: rng.standard_normal((2, 5, 3)) for n in "qkv"}
+    w = rng.standard_normal((2, 5, 3))
+    report = orc.finite_diff_check(
+        lambda p: ad.sum_(ad.mul(ad.attention(p["q"], p["k"], p["v"]), w)), params, step=1e-5)
+    assert report["max_rel_err"] <= 1e-6
+
+
+def test_pairwise_sum_matches_numpy_sum_for_every_length():
+    for n in range(1, 301):
+        x = rng.standard_normal((n, 5))
+        assert np.array_equal(ad._pairwise_sum(x), np.sum(np.ascontiguousarray(x.T), axis=-1)), n
+
+
 def test_sum_axis():
     check_op(lambda t: ad.sum_(ad.mul(ad.sum_(t, axis=1), np.array([1.0, -2.0, 3.0]))),
              rng.standard_normal((3, 4)))
@@ -133,6 +190,8 @@ def test_plain_arrays_bypass_tape():
     out = ad.add(np.ones(3), np.ones(3))
     assert isinstance(out, np.ndarray)
     out = ad.softmax(np.zeros((2, 2)))
+    assert isinstance(out, np.ndarray)
+    out = ad.attention(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))
     assert isinstance(out, np.ndarray)
 
 

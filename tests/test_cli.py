@@ -137,6 +137,23 @@ def test_malformed_sweep_list_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--eta", "2", "eta must lie in [0, 1]"),
+    ("--samples", "0", "sample count must be >= 1"),
+])
+def test_sweep_rejects_sampling_options_before_training(tmp_path, capsys, monkeypatch,
+                                                        flag, value, message):
+    from residiff import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "train_joint", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--out", str(out), *TINY_SWEEP, flag, value]) == 2
+    assert message in _one_line_error(capsys, "config error:")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_run_config_sampling_defaults():
     from residiff.cli import RunConfig
 

@@ -71,19 +71,40 @@ def test_determinism_bit_identical(small):
 def test_attention_rows_sum_to_one(small, monkeypatch):
     cfg, params, adj, rng = small
     captured = []
-    orig = ad.softmax
+    orig = ad.attention
 
-    def tap(x, axis=-1):
-        out = orig(x, axis)
-        captured.append(np.asarray(ad.value_of(out)))
-        return out
+    def tap(q, k, v):
+        # with v all ones, each context entry is one probability row's sum
+        ones = np.ones_like(ad.value_of(v))
+        captured.append(orig(ad.value_of(q), ad.value_of(k), ones))
+        return orig(q, k, v)
 
-    monkeypatch.setattr(dn.ad, "softmax", tap)
+    monkeypatch.setattr(dn.ad, "attention", tap)
     eps_hat(params, cfg, adj, rng.standard_normal((1, 4, 3)),
             rng.standard_normal((1, 4, 3)), 1)
     assert len(captured) == 2  # one temporal, one spatial block
-    for attn in captured:
-        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
+    for row_sums in captured:
+        np.testing.assert_allclose(row_sums, 1.0, atol=1e-12)
+
+
+def test_fused_attention_matches_composition_through_the_network(small, monkeypatch):
+    # the fused op replaces four tape nodes; the network's output and every
+    # parameter gradient must not move by a bit
+    cfg, params, adj, rng = small
+    z, c, eps = (rng.standard_normal((2, 4, 3)) for _ in range(3))
+    t = np.array([2, 5])
+    mask = rng.random((2, 4, 3)) < 0.6
+    loss = noise_loss(cfg, adj, z, c, t, eps, mask)
+    runs = []
+    for op in (ad.attention, orc.attention_reference):
+        monkeypatch.setattr(dn.ad, "attention", op)
+        leaves = ad.leaves(params)
+        loss(leaves).backward()
+        runs.append((eps_hat(params, cfg, adj, z, c, t), ad.grads(leaves)))
+    (out, grads), (ref_out, ref_grads) = runs
+    assert np.array_equal(out, ref_out)
+    for name in params:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def test_locality_with_mixing_disabled(small):
