@@ -48,6 +48,9 @@ class DenoiserConfig:
     head_count: int = 4
 
     def __post_init__(self):
+        for name in ("d", "head_count", "conv_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.head_count != 0:
             raise ConfigError("embedding dim must be divisible by head count")
         if self.conv_width % 2 != 1:

@@ -18,12 +18,15 @@ condition (z0m + z0c, with the condition zeroed under ``no_cond_forward``),
 not at the residual alone.  ``_SamplerSetup.finalize`` removes the condition
 from the terminal state before combining the residual with the rough fill.
 
-Each sample chain owns an RNG stream derived from (root seed, sample index),
-so results are independent of batching and chunk sizes.  Non-visible cells
-are initialized from standard normal noise on target cells only; visible
-cells pass through untouched in every sample.  The chain state is checked
-once per reverse step; a non-finite one raises ``NumericError`` naming the
-step.
+The series is cut once into whole windows plus at most one shorter tail; a
+reshape turns each part of the chain state into a window batch for the
+denoiser, ``_windows_per_call`` windows per call.  A window's prediction does
+not depend on its batch and each sample chain owns an RNG stream derived from
+(root seed, sample index), so results do not depend on how windows split into
+calls.  Non-visible cells are initialized from standard normal noise on target
+cells only; visible cells pass through untouched in every sample.  The chain
+state is checked once per reverse step; a non-finite one raises
+``NumericError`` naming the step.
 """
 
 from __future__ import annotations
@@ -123,10 +126,12 @@ def jump_coeffs(t: int, t_prev: int, d: float, sched: NoiseSchedule) -> tuple[fl
 
 def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
                      sched: NoiseSchedule, noise=None, target_mask=None):
-    """Non-Markovian jump t -> t_prev expressed through the noise estimate."""
+    """Non-Markovian jump t -> t_prev through the noise estimate; d > 0 needs noise."""
     c_z, c_eps = jump_coeffs(t, t_prev, d, sched)
     out = c_z * np.asarray(z_t) + c_eps * np.asarray(eps_hat)
-    if d > 0 and noise is not None:
+    if d > 0:
+        if noise is None:
+            raise ValueError(f"jump {t}->{t_prev} has noise std {d} but no noise")
         n = np.asarray(noise)
         if target_mask is not None:
             n = n * np.asarray(target_mask, dtype=np.float64)
@@ -134,6 +139,17 @@ def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
     if target_mask is not None:
         out = out * np.asarray(target_mask, dtype=np.float64)
     return out
+
+
+Q_LEVELS = (0.05, 0.95)  # the quantile band every imputation reports
+_SCORE_BYTES = 48 * 2**20  # one attention score tensor per denoiser call
+
+
+def _windows_per_call(n_nodes: int, n_window: int, head_count: int) -> int:
+    """Windows per denoiser call that keep the larger score tensor, temporal
+    (N, h, L, L) or spatial (L, h, N, N) per window, within _SCORE_BYTES."""
+    per_window = 8 * head_count * n_window * n_nodes * max(n_window, n_nodes)
+    return max(1, _SCORE_BYTES // per_window)
 
 
 @dataclass
@@ -167,16 +183,12 @@ class _SamplerSetup:
         adjacency = getattr(graph, "adjacency", graph)
         self.a_hat = dn.normalized_adjacency(adjacency)
 
-        # windows start at multiples of n_window, so the denoiser's default
-        # time index, arange(length) % n_window, is each window's phase
-        L = x.shape[0]
-        n_window = self.config.n_window
-        self.slices = [slice(i, min(i + n_window, L)) for i in range(0, L, n_window)]
-
         # the rough fill is computed per window, exactly as during training,
         # so the condition follows the distribution the denoiser was fit on
+        L, n_nodes = x.shape
+        n_window = self.config.n_window
         x_init = np.empty_like(self.values_norm)
-        for sl in self.slices:
+        for sl in (slice(lo, lo + n_window) for lo in range(0, L, n_window)):
             x_init[sl] = ini.impute_initial(self.values_norm[None, sl],
                                             self.visible[None, sl], adjacency,
                                             checkpoint.initial)[0]
@@ -185,31 +197,27 @@ class _SamplerSetup:
                                                  training=False)
         self.z0c_chain = np.zeros_like(self.z0c) if cfg.no_cond_forward else self.z0c
 
-    def predict(self, z_full: np.ndarray, t: int, chunk: int = 128) -> np.ndarray:
-        """Denoiser output for a whole (S, L, N) state, windowed and chunked."""
-        s_count = z_full.shape[0]
+        # whole windows, then at most one shorter tail, each with its condition
+        # batch; windows start at multiples of n_window, so the denoiser's
+        # default time index is each window's phase
+        cut = L - L % n_window
+        self.parts = [(slice(lo, hi), self.z0c_chain[lo:hi].reshape(-1, length, n_nodes))
+                      for lo, hi, length in ((0, cut, n_window), (cut, L, L - cut))
+                      if hi > lo]
+
+    def predict(self, z_full: np.ndarray, t: int) -> np.ndarray:
+        """Denoiser output for an (S, L, N) state, over sample-major window batches."""
+        s_count, _, n_nodes = z_full.shape
         out = np.empty_like(z_full)
-        by_len: dict[int, list[slice]] = {}
-        for sl in self.slices:
-            by_len.setdefault(sl.stop - sl.start, []).append(sl)
-        for sls in by_len.values():
-            z_batch = np.concatenate(
-                [z_full[:, sl, :] for sl in sls], axis=0
-            )  # (S*W, Lw, N)
-            cond = np.concatenate(
-                [np.broadcast_to(self.z0c_chain[sl], (s_count,) + self.z0c_chain[sl].shape)
-                 for sl in sls],
-                axis=0,
-            )
+        for sl, cond in self.parts:
+            z_batch = z_full[:, sl].reshape((-1,) + cond.shape[1:])
+            c_batch = np.tile(cond, (s_count, 1, 1))
+            step = _windows_per_call(n_nodes, cond.shape[1], self.config.head_count)
             preds = np.empty_like(z_batch)
-            for lo in range(0, z_batch.shape[0], chunk):
-                hi = min(lo + chunk, z_batch.shape[0])
-                preds[lo:hi] = dn.forward(
-                    self.params, self.config,
-                    z_batch[lo:hi], cond[lo:hi], t, self.a_hat,
-                )
-            for w, sl in enumerate(sls):
-                out[:, sl, :] = preds[w * s_count : (w + 1) * s_count]
+            for win in (slice(lo, lo + step) for lo in range(0, len(z_batch), step)):
+                preds[win] = dn.forward(self.params, self.config,
+                                        z_batch[win], c_batch[win], t, self.a_hat)
+            out[:, sl] = preds.reshape(s_count, -1, n_nodes)
         return out
 
     def eps_from_output(self, net_out: np.ndarray, z: np.ndarray, t: int) -> np.ndarray:
@@ -219,30 +227,21 @@ class _SamplerSetup:
         acum = float(self.sched.alpha_cum[t])
         return (z - np.sqrt(acum) * (net_out + self.z0c_chain)) / np.sqrt(1.0 - acum)
 
-    def finalize(self, terminal: np.ndarray, q_levels=(0.05, 0.95)) -> ImputationResult:
+    def finalize(self, terminal: np.ndarray) -> ImputationResult:
         """Combine terminal chain states with the rough fill and score.
 
         A chain ends at residual + condition; the condition the chain ran
         with is subtracted here, so the imputation is fill - sign * residual.
         """
-        residuals = terminal - self.z0c_chain
-        s_count = residuals.shape[0]
-        samples = np.empty_like(residuals)
-        for s in range(s_count):
-            imput_norm = self.x_init_eff - self.sign * residuals[s]
-            full = np.where(self.visible, self.values_norm, imput_norm)
-            denorm = dt.denormalize(full, self.stats)
-            samples[s] = np.where(self.visible, self.x.values, denorm)
+        imput_norm = self.x_init_eff - self.sign * (terminal - self.z0c_chain)
+        full = np.where(self.visible, self.values_norm, imput_norm)
+        samples = np.where(self.visible, self.x.values, dt.denormalize(full, self.stats))
         median = np.median(samples, axis=0)
-        q_low = np.quantile(samples, q_levels[0], axis=0)
-        q_high = np.quantile(samples, q_levels[1], axis=0)
-        scores = None
-        if self.x.eval_mask.any():
-            scores = dt.metrics(median, self.x.values, self.x.eval_mask)
-        return ImputationResult(
-            samples=samples, median=median, q_low=q_low, q_high=q_high,
-            q_levels=tuple(q_levels), metrics=scores,
-        )
+        q_low, q_high = (np.quantile(samples, q, axis=0) for q in Q_LEVELS)
+        scores = (dt.metrics(median, self.x.values, self.x.eval_mask)
+                  if self.x.eval_mask.any() else None)
+        return ImputationResult(samples=samples, median=median, q_low=q_low,
+                                q_high=q_high, q_levels=Q_LEVELS, metrics=scores)
 
 
 def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph) -> np.ndarray:
@@ -288,7 +287,7 @@ def check_sampling(S: int, eta: float = 1.0) -> None:
 
 
 def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
-                     rng: np.random.Generator, chunk: int = 128) -> ImputationResult:
+                     rng: np.random.Generator) -> ImputationResult:
     """Full-length reverse sampling of S imputations (Alg-style ancestral)."""
     check_sampling(S)
     setup = _SamplerSetup(checkpoint, x, graph)
@@ -296,7 +295,7 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
     rngs = _sample_rngs(rng, S)
     z = _draw(rngs, x.shape) * setup.targetf
     for t in range(sched.T, 0, -1):
-        net_out = setup.predict(z, t, chunk)
+        net_out = setup.predict(z, t)
         noise = _draw(rngs, x.shape) if t > 1 else None
         z = ancestral_step(z, setup.z0c_chain, t, net_out, sched,
                            target_mask=setup.target, noise=noise,
@@ -306,8 +305,8 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
 
 
 def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph, K: int,
-                       S: int, rng: np.random.Generator, eta: float = 1.0,
-                       chunk: int = 128) -> ImputationResult:
+                       S: int, rng: np.random.Generator,
+                       eta: float = 1.0) -> ImputationResult:
     """Accelerated sampling over K evenly spaced sub-steps."""
     check_sampling(S, eta)
     setup = _SamplerSetup(checkpoint, x, graph)
@@ -318,7 +317,7 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph, K: int,
     for i, t in enumerate(steps):
         t_prev = steps[i + 1] if i + 1 < len(steps) else 0
         d = substep_noise_std(sched, t, t_prev, eta)
-        net_out = setup.predict(z, t, chunk)
+        net_out = setup.predict(z, t)
         eps_hat = setup.eps_from_output(net_out, z, t)
         noise = _draw(rngs, x.shape) if d > 0 else None
         z = accelerated_step(z, eps_hat, t, t_prev, d, sched, noise, setup.target)

@@ -400,25 +400,25 @@ def load_checkpoint(path) -> Checkpoint:
         off += n
         return blob[off - n : off]
 
-    version, count = struct.unpack("<II", take(8))
-    if version != _FORMAT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    headers = []
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8", errors="replace")
-        (ndim,) = struct.unpack("<I", take(4))
-        headers.append((name, struct.unpack(f"<{ndim}Q", take(8 * ndim))))
-    arrays = {}
-    for name, shape in headers:
-        raw = take(8 * math.prod(shape))
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-        if not np.isfinite(arrays[name]).all():
-            raise DataError(f"checkpoint {path}: {name} holds non-finite values")
-    if off != len(blob):
-        raise DataError(f"checkpoint {path} has {len(blob) - off} trailing bytes")
-
     try:
+        version, count = struct.unpack("<II", take(8))
+        if version != _FORMAT_VERSION:
+            raise DataError(f"unsupported checkpoint version {version}")
+        headers = []
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode("utf-8", errors="replace")
+            (ndim,) = struct.unpack("<I", take(4))
+            headers.append((name, struct.unpack(f"<{ndim}Q", take(8 * ndim))))
+        arrays = {}
+        for name, shape in headers:
+            raw = take(8 * math.prod(shape))
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(arrays[name]).all():
+                raise DataError(f"checkpoint {path}: {name} holds non-finite values")
+        if off != len(blob):
+            raise DataError(f"checkpoint {path} has {len(blob) - off} trailing bytes")
+
         config = TrainConfig.from_dict(sidecar["config"])
         n_nodes = int(sidecar["n_nodes"])
         dshapes = dn.param_shapes(config.denoiser_config(n_nodes))
@@ -440,5 +440,5 @@ def load_checkpoint(path) -> Checkpoint:
     except ConfigError as exc:
         # the bad input is the checkpoint's sidecar, not the run's config
         raise DataError(f"checkpoint {path} has an invalid sidecar config: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc

@@ -12,8 +12,8 @@ def diverge_at(monkeypatch):
     def patch(step: int):
         predict = sp._SamplerSetup.predict
 
-        def diverging(self, z_full, t, chunk=128):
-            out = predict(self, z_full, t, chunk)
+        def diverging(self, z_full, t):
+            out = predict(self, z_full, t)
             return np.full_like(out, np.inf) if t == step else out
 
         monkeypatch.setattr(sp._SamplerSetup, "predict", diverging)

@@ -302,18 +302,38 @@ def test_block_masking_keeps_its_own_point_rate(pipeline, tmp_path):
     assert masked.eval_mask.mean() < 0.15
 
 
-def test_garbled_csv_exits_3_without_output(pipeline, tmp_path, capsys):
+def _short(line):
+    return line.rsplit(",", 1)[0] + "\n"
+
+
+@pytest.mark.parametrize("name,garble", [
+    pytest.param("values.csv", lambda line: line.replace(",", ",x", 1), id="bad-number"),
+    pytest.param("values.csv", _short, id="short-values-row"),
+    pytest.param("eval_mask.csv", _short, id="short-eval-mask-row"),
+])
+def test_garbled_csv_exits_3_without_output(pipeline, tmp_path, capsys, name, garble):
     _, ds, _, _ = pipeline
     bad = tmp_path / "bad"
     bad.mkdir()
-    for name in ("values.csv", "adjacency.csv"):
-        (bad / name).write_bytes((ds / name).read_bytes())
-    lines = (ds / "values.csv").read_text().splitlines(keepends=True)
-    lines[5] = lines[5].replace(",", ",x", 1)
-    (bad / "values.csv").write_text("".join(lines))
+    for kept in ("values.csv", "adjacency.csv", name):
+        (bad / kept).write_bytes((ds / kept).read_bytes())
+    lines = (ds / name).read_text().splitlines(keepends=True)
+    lines[5] = garble(lines[5])
+    (bad / name).write_text("".join(lines))
     out = tmp_path / "o"
     assert main(["mask", "--data", str(bad), "--out", str(out)]) == 3
     _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--head-count", "0"), ("--head-count", "-1"),
+                                        ("--d", "0")])
+def test_denoiser_width_below_1_exits_2(pipeline, tmp_path, capsys, flag, value):
+    _, _, dsm, _ = pipeline
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(dsm), "--out", str(out), *FAST_TRAIN, flag, value]
+    assert main(argv) == 2
+    _one_line_error(capsys, "config error:")
     assert not out.exists()
 
 

@@ -70,6 +70,11 @@ class TestDdimCoeffs:
             sp.accelerated_step(z, eps, 2, 1, 0.0, S2, noise=np.full(2, 9.0)),
             sp.accelerated_step(z, eps, 2, 1, 0.0, S2))
 
+    def test_a_noisy_jump_needs_its_noise(self):
+        z, eps = np.array([0.3, -1.2]), np.array([0.5, 0.8])
+        with pytest.raises(ValueError, match="no noise"):
+            sp.accelerated_step(z, eps, 2, 1, 0.1, S2)
+
     def test_identity_random_noise_levels(self):
         rng = np.random.default_rng(7)
         sched = build_linear_schedule(10, 0.01, 0.3)
@@ -193,13 +198,45 @@ def test_quantile_band_is_monotone(tiny_run):
     assert out.metrics is not None and np.isfinite(out.metrics["mae"])
 
 
-def test_seeded_determinism_independent_of_chunking(tiny_run):
+def test_seeded_determinism_independent_of_chunking(tiny_run, monkeypatch):
     grid, graph, ckpt = tiny_run
-    a = sp.ancestral_impute(ckpt, grid, graph, S=2,
-                            rng=np.random.default_rng(42), chunk=128)
-    b = sp.ancestral_impute(ckpt, grid, graph, S=2,
-                            rng=np.random.default_rng(42), chunk=3)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    a = sp.ancestral_impute(ckpt, grid, graph, S=2, rng=np.random.default_rng(42))
+    for per_call in (1, 3):
+        monkeypatch.setattr(sp, "_windows_per_call", lambda *_, k=per_call: k)
+        b = sp.ancestral_impute(ckpt, grid, graph, S=2, rng=np.random.default_rng(42))
+        np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_each_window_is_predicted_once_within_the_bound(tiny_run, monkeypatch):
+    grid, graph, ckpt = tiny_run
+    L = 110  # four whole 24-step windows and a 14-step tail
+    part = dt.MaskedGrid(grid.values[:L], grid.observed_mask[:L],
+                         grid.eval_mask[:L], grid.timestamps[:L])
+    monkeypatch.setattr(sp, "_windows_per_call", lambda *_: 3)
+    batches = []
+
+    def spy(p, config, z_t, z0c, t, a_hat):
+        batches.append((z_t.copy(), z0c.copy()))
+        return z_t.copy()  # the identity shows each output lands in place
+
+    monkeypatch.setattr(sp.dn, "forward", spy)
+    setup = sp._SamplerSetup(ckpt, part, graph)
+    z = np.arange(3 * part.values.size, dtype=np.float64).reshape((3,) + part.shape)
+    np.testing.assert_array_equal(setup.predict(z, 1), z)
+    assert max(len(zb) for zb, _ in batches) <= 3
+    windows = [w for zb, cb in batches for w in zip(zb, cb)]
+    starts = sorted(int(zw[0, 0]) for zw, _ in windows)
+    assert starts == sorted(int(z[s, lo, 0]) for s in range(3) for lo in range(0, L, 24))
+    for zw, cw in windows:  # each window rides with its own condition
+        lo = int(zw[0, 0]) % part.values.size // part.shape[1]
+        np.testing.assert_array_equal(cw, setup.z0c_chain[lo : lo + len(zw)])
+    assert [len(zw) for zw, _ in windows].count(14) == 3
+
+
+def test_windows_per_call_follows_the_node_count():
+    # 24-step windows and 4 heads: the benchmark's 20 nodes, a 325-sensor graph
+    assert sp._windows_per_call(20, 24, 4) >= 100
+    assert sp._windows_per_call(325, 24, 4) == 1
 
 
 def test_sample_count_validation(tiny_run):
@@ -254,7 +291,7 @@ def _exact_oracle_predict(monkeypatch, ckpt, grid):
     values_norm = (grid.values - ckpt.stats.mean[None, :]) / ckpt.stats.std[None, :]
     values_norm = np.where(grid.observed_mask, values_norm, 0.0)
 
-    def predict(self, z_full, t, chunk=128):
+    def predict(self, z_full, t):
         z0m = cfg.residual_sign * (self.x_init_eff - values_norm) * self.targetf
         if cfg.predict_x0:
             return np.broadcast_to(z0m, z_full.shape).copy()

@@ -294,6 +294,30 @@ class TestCorruptCheckpoint:
         cut.write_bytes(blob)
         assert tr.load_checkpoint(cut).denoiser_config.n_nodes == 5
 
+    def test_bit_flips_load_or_are_data_errors(self, tmp_path):
+        # every bit of every header and sidecar byte, one bit per payload byte
+        path = tmp_path / "ck.bin"
+        ck = _tiny_checkpoint(path)
+        blob, side = path.read_bytes(), (tmp_path / "ck.bin.json").read_bytes()
+        header = len(blob) - 8 * sum(a.size for a in tr._checkpoint_arrays(ck).values())
+        flips = [(0, i, b) for i in range(header) for b in range(8)]
+        flips += [(0, i, i % 8) for i in range(header, len(blob))]
+        flips += [(1, i, b) for i in range(len(side)) for b in range(8)]
+        flip = tmp_path / "flip.bin"
+        escaped = []
+        for kind, i, b in flips:
+            files = [bytearray(blob), bytearray(side)]
+            files[kind][i] ^= 1 << b
+            flip.write_bytes(files[0])
+            (tmp_path / "flip.bin.json").write_bytes(files[1])
+            try:
+                tr.load_checkpoint(flip)
+            except DataError:
+                pass
+            except Exception as exc:  # anything but a DataError escaped
+                escaped.append((("bin", "sidecar")[kind], i, b, repr(exc)))
+        assert escaped == []
+
     def test_missing_sidecar_is_a_data_error(self, tmp_path):
         path = tmp_path / "ck.bin"
         _tiny_checkpoint(path)
