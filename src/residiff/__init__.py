@@ -8,7 +8,7 @@ imputations.  Exact linear-Gaussian oracles audit every closed-form formula.
 
 from .data import Graph, MaskedGrid, SynthParams, mask_block, mask_node, mask_point, metrics, synth_generate
 from .forward import elbo_diagnostics, posterior_mean_eps, posterior_mean_z0, q_sample, q_step_sample
-from .initial import InitialModel, impute_initial, init_loss, residual_and_condition
+from .initial import impute_initial, init_loss, residual_and_condition
 from .sampler import ImputationResult, accelerated_impute, ancestral_impute, jump_coeffs
 from .schedule import NoiseSchedule, build_linear_schedule
 from .trainer import Checkpoint, TrainConfig, load_checkpoint, pretrain_initial, save_checkpoint, train_joint
@@ -29,7 +29,6 @@ __all__ = [
     "posterior_mean_z0",
     "q_sample",
     "q_step_sample",
-    "InitialModel",
     "impute_initial",
     "init_loss",
     "residual_and_condition",

@@ -245,14 +245,14 @@ def _cmd_pretrain(cfg: RunConfig, out: _OutputDir) -> int:
     grid_n, stats = dt.normalize(grid)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        model, losses = pretrain_initial(grid_n, graph, tcfg, rng)
+        initial, losses = pretrain_initial(grid_n, graph, tcfg, rng)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     from . import denoiser as dn
 
     ckpt = Checkpoint(
         denoiser=dn.init_params(tcfg.denoiser_config(grid.shape[1]), rng),
-        initial=model, stats=stats, config=tcfg,
+        initial=initial, stats=stats, config=tcfg,
     )
     save_checkpoint(ckpt, out.file("checkpoint.bin"))
     out.file("checkpoint.bin.json")

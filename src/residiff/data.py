@@ -344,25 +344,27 @@ def draw_block_targets(visible: np.ndarray, p_point: float, p_block: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Point masking at p_point plus per-node contiguous temporal blocks.
 
-    At each (step, node) a block starts with probability p_block; its length
-    is uniform over ``len_range`` hours converted via ``steps_per_hour``.
+    ``visible`` is (..., L, N): a grid or a batch of windows.  At each
+    (step, node) a block starts with probability p_block and runs along the
+    time axis of its own window; its length is uniform over ``len_range``
+    hours converted via ``steps_per_hour``.
     """
     if not 0.0 <= p_point < 1.0 or not 0.0 <= p_block < 1.0:
         raise ConfigError("masking probabilities must be in [0, 1)")
     if len_range[0] < 1 or len_range[1] < len_range[0]:
         raise ConfigError(f"invalid block length range {len_range}")
-    L, n = visible.shape
     target = (
         visible & (rng.random(visible.shape) < p_point)
         if p_point > 0
         else np.zeros_like(visible)
     )
     if p_block > 0:
-        starts = rng.random((L, n)) < p_block
-        lengths = rng.integers(len_range[0], len_range[1] + 1, size=(L, n))
-        for i, j in zip(*np.nonzero(starts)):
-            span = int(lengths[i, j]) * steps_per_hour
-            target[i : i + span, j] |= visible[i : i + span, j]
+        starts = rng.random(visible.shape) < p_block
+        lengths = rng.integers(len_range[0], len_range[1] + 1, size=visible.shape)
+        for *lead, i, j in zip(*np.nonzero(starts)):
+            span = int(lengths[(*lead, i, j)]) * steps_per_hour
+            cells = (*lead, slice(i, i + span), j)
+            target[cells] |= visible[cells]
     return target
 
 

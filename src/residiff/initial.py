@@ -13,6 +13,9 @@ visible cells and is a finite deterministic fill elsewhere.
                time; ``oracle.trainable_fill_reference`` is the same fill
                unrolled op by op, which the tests hold it to
 
+A strategy is a name and its state a plain dict of arrays: laid out by
+``param_shapes`` for the trainable fill, empty for the other two.
+
 The residual convention: the diffusion target is fill - truth on target
 cells, and the final imputation is fill - sampled_residual, so a perfectly
 recovered residual returns the truth exactly.  A config flag elsewhere flips
@@ -21,16 +24,14 @@ the sign of both at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autodiff as ad
+from . import data as dt
 from .denoiser import normalized_adjacency
 from .errors import ConfigError, DataError
 
 __all__ = [
-    "InitialModel",
     "param_shapes",
     "init_trainable_params",
     "impute_initial",
@@ -40,20 +41,6 @@ __all__ = [
     "residual_and_condition",
     "init_loss",
 ]
-
-@dataclass
-class InitialModel:
-    strategy: str = "node_mean"
-    hidden: int = 16
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.strategy not in ("node_mean", "interp_graph", "trainable"):
-            raise ConfigError(f"unknown initial strategy {self.strategy!r}")
-
-    @property
-    def trainable(self) -> bool:
-        return self.strategy == "trainable"
 
 
 def param_shapes(hidden: int) -> dict[str, tuple[int, ...]]:
@@ -194,9 +181,10 @@ def _bptt(q: dict, order, hs: list, vs: list, vis: np.ndarray, mix: np.ndarray,
     }
 
 
-def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray):
-    """Bidirectional recurrent fill; ``p`` holds tensors by name lookup,
-    ``values`` and ``visible`` are plain (B, L, N) arrays.
+def trainable_fill(p, values, visible: np.ndarray, mix: np.ndarray):
+    """Bidirectional recurrent fill; ``p`` holds tensors by name lookup, laid
+    out by ``param_shapes`` of the width of ``fwd_W_h``; ``values`` and
+    ``visible`` are plain (B, L, N) arrays.
 
     Per direction, the cell consumes the visible value (its own running
     prediction where hidden), updates a per-node hidden state, takes one
@@ -211,7 +199,7 @@ def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray)
     values = np.asarray(values, dtype=np.float64)
     vis = np.asarray(visible, dtype=np.float64)
     L = values.shape[1]
-    names = list(param_shapes(hidden))
+    names = list(param_shapes(ad.value_of(p["fwd_W_h"]).shape[0]))
     orders = {"fwd": range(L), "bwd": range(L - 1, -1, -1)}
     qs = {prefix: {name.split("_", 1)[1]: ad.value_of(p[name])
                    for name in names if name.startswith(prefix)} for prefix in orders}
@@ -237,23 +225,21 @@ def trainable_fill(p, hidden: int, values, visible: np.ndarray, mix: np.ndarray)
                     [lambda g, name=name: grads_for(g)[name] for name in names])
 
 
-def impute_initial(values, visible, graph, model: InitialModel, params=None):
+def impute_initial(values, visible, graph: dt.Graph, strategy: str, params: dict):
     """Deterministic fill of every non-visible cell of (B, L, N) windows.
 
-    ``params`` overrides the trainable model's arrays, e.g. with
-    ``ad.leaves`` of them so the fill is differentiable; the result is then
-    a Tensor.
+    ``params`` holds the trainable fill's arrays (empty for the other
+    strategies); given as ``ad.leaves`` of them, the fill is differentiable
+    and the result is a Tensor.
     """
-    adj = getattr(graph, "adjacency", graph)
-    if model.trainable:
-        p = model.params if params is None else params
-        return trainable_fill(p, model.hidden, values, visible, normalized_adjacency(adj))
+    if strategy == "trainable":
+        return trainable_fill(params, values, visible, normalized_adjacency(graph.adjacency))
+    if strategy not in ("node_mean", "interp_graph"):
+        raise ConfigError(f"unknown initial strategy {strategy!r}")
     out = np.empty_like(values)
     for i in range(values.shape[0]):
-        if model.strategy == "node_mean":
-            out[i] = node_mean_fill(values[i], visible[i])
-        else:
-            out[i] = interp_graph_fill(values[i], visible[i], adj)
+        out[i] = (node_mean_fill(values[i], visible[i]) if strategy == "node_mean"
+                  else interp_graph_fill(values[i], visible[i], graph.adjacency))
     return out
 
 

@@ -232,7 +232,7 @@ def finite_diff_check(loss_fn, params: dict, step: float = 1e-3) -> dict:
     return {"max_rel_err": worst, "per_tensor": report, "loss": float(loss.value)}
 
 
-def trainable_fill_reference(p, hidden: int, values, visible, mix):
+def trainable_fill_reference(p, values, visible, mix):
     """The trainable rough fill unrolled op by op on the tape.
 
     The reference for ``initial.trainable_fill``, whose single tape node
@@ -248,7 +248,7 @@ def trainable_fill_reference(p, hidden: int, values, visible, mix):
         w_x, w_m = p[f"{prefix}_w_x"], p[f"{prefix}_w_m"]
         W_h, b_h = p[f"{prefix}_W_h"], p[f"{prefix}_b_h"]
         w_p, w_q, b_p = p[f"{prefix}_w_p"], p[f"{prefix}_w_q"], p[f"{prefix}_b_p"]
-        h = np.zeros((b, n, hidden))
+        h = np.zeros((b, n, ad.value_of(W_h).shape[0]))
         stacked = None
         for i in order:
             hop = ad.einsum2("mn,bnh->bmh", mix, h)

@@ -167,7 +167,7 @@ class ImputationResult:
 class _SamplerSetup:
     """Shared preprocessing for both samplers."""
 
-    def __init__(self, checkpoint, x: dt.MaskedGrid, graph):
+    def __init__(self, checkpoint, x: dt.MaskedGrid, graph: dt.Graph):
         cfg = checkpoint.config
         self.sched = checkpoint.sched
         self.params = checkpoint.denoiser
@@ -180,8 +180,7 @@ class _SamplerSetup:
         self.target = ~self.visible
         self.targetf = self.target.astype(np.float64)
         self.sign = cfg.residual_sign
-        adjacency = getattr(graph, "adjacency", graph)
-        self.a_hat = dn.normalized_adjacency(adjacency)
+        self.a_hat = dn.normalized_adjacency(graph.adjacency)
 
         # the rough fill is computed per window, exactly as during training,
         # so the condition follows the distribution the denoiser was fit on
@@ -190,8 +189,8 @@ class _SamplerSetup:
         x_init = np.empty_like(self.values_norm)
         for sl in (slice(lo, lo + n_window) for lo in range(0, L, n_window)):
             x_init[sl] = ini.impute_initial(self.values_norm[None, sl],
-                                            self.visible[None, sl], adjacency,
-                                            checkpoint.initial)[0]
+                                            self.visible[None, sl], graph,
+                                            cfg.strategy, checkpoint.initial)[0]
         self.x_init_eff = np.zeros_like(x_init) if cfg.no_residual else x_init
         _, self.z0c = ini.residual_and_condition(x_init, None, self.target,
                                                  training=False)
@@ -244,7 +243,7 @@ class _SamplerSetup:
                                 q_high=q_high, q_levels=Q_LEVELS, metrics=scores)
 
 
-def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph) -> np.ndarray:
+def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph) -> np.ndarray:
     """Rough-fill-only imputation in data units (stage-one baseline).
 
     Uses the same windowed fill as the samplers, so comparisons against the
@@ -286,7 +285,7 @@ def check_sampling(S: int, eta: float = 1.0) -> None:
         raise ConfigError("sample count must be >= 1")
 
 
-def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
+def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, S: int,
                      rng: np.random.Generator) -> ImputationResult:
     """Full-length reverse sampling of S imputations (Alg-style ancestral)."""
     check_sampling(S)
@@ -304,7 +303,7 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph, S: int,
     return setup.finalize(z)
 
 
-def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph, K: int,
+def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, K: int,
                        S: int, rng: np.random.Generator,
                        eta: float = 1.0) -> ImputationResult:
     """Accelerated sampling over K evenly spaced sub-steps."""

@@ -1,17 +1,21 @@
 """Joint training of the rough-fill model and the residual denoiser.
 
-Per batch: windows are cut at random offsets, artificial targets are drawn
-from the visible cells (out-of-sample mode) or taken from the dataset's
-annotated targets (in-sample mode), the rough fill produces the residual
-target and condition, a diffusion step and noise are drawn, and one Adam
-step is taken on
+One batch generator serves pretraining and joint training: windows are cut
+at random offsets, artificial targets are drawn from the visible cells
+(out-of-sample mode; always so in pretraining) or taken from the dataset's
+annotated targets (in-sample mode), and a window is kept if it has a target
+and a visible cell.  Pretraining fits the trainable fill alone on L_init.
+Per joint batch, the rough fill produces the residual target and condition,
+a diffusion step and noise are drawn, and one Adam step is taken on
 
     L_joint = L_simple + lambda * L_init
 
 with L_simple the masked mean squared noise error and L_init the rough-fill
-error.  Gradients flow into the fill model through the residual, the
-condition, and L_init unless it is frozen.  Everything is driven by one
-explicit RNG, so a fixed config and seed reproduce checkpoints bit-exactly.
+error.  Gradients flow into the fill through the residual, the condition,
+and L_init unless it is frozen.  The fill's state is a plain dict of arrays
+(empty unless the strategy is trainable); its strategy and width are read
+only from the config.  Everything is driven by one explicit RNG, so a fixed
+config and seed reproduce checkpoints bit-exactly.
 
 Ablation flags:
   no_cond_forward    condition zeroed in the forward marginal and samplers
@@ -94,8 +98,8 @@ class TrainConfig:
     flip_residual_sign: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("loss balance must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"loss balance must be finite and nonnegative, got {self.lam}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning rate must be positive and finite, got {self.learning_rate}")
@@ -105,8 +109,19 @@ class TrainConfig:
             raise ConfigError("window length must be >= 1")
         if self.t_steps < 1:
             raise ConfigError("diffusion step count must be >= 1")
-        if self.mask_mode not in ("in_sample", "out_of_sample"):
-            raise ConfigError(f"unknown mask mode {self.mask_mode!r}")
+        if self.epochs < 0 or self.pretrain_epochs < 0:
+            raise ConfigError("epoch counts must be >= 0")
+        if self.init_hidden < 1:
+            raise ConfigError(f"rough-fill width must be >= 1, got {self.init_hidden}")
+        if self.steps_per_hour < 1:
+            raise ConfigError(f"steps per hour must be >= 1, got {self.steps_per_hour}")
+        for name, allowed in (("strategy", ("node_mean", "interp_graph", "trainable")),
+                              ("init_norm", ("l1", "l2")),
+                              ("target_protocol", ("point", "block")),
+                              ("mask_mode", ("in_sample", "out_of_sample"))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"expected one of {', '.join(allowed)}")
 
     @property
     def residual_sign(self) -> float:
@@ -140,11 +155,19 @@ class Checkpoint:
     on construction, never stored, so the two cannot disagree."""
 
     denoiser: dict[str, np.ndarray]  # laid out by dn.param_shapes
-    initial: ini.InitialModel
+    initial: dict[str, np.ndarray]  # laid out by _fill_shapes(config)
     stats: dt.NormStats  # one mean and std per node
     config: TrainConfig
 
     def __post_init__(self):
+        want = _fill_shapes(self.config)
+        for name in [*want, *sorted(self.initial.keys() - want.keys())]:
+            got = np.shape(self.initial[name]) if name in self.initial else "no array"
+            if got != want.get(name, "no array"):
+                raise DataError(
+                    f"initial/{name}: found {got}, the config's {self.config.strategy!r} "
+                    f"fill of width {self.config.init_hidden} implies "
+                    f"{want.get(name, 'no array')}")
         self.sched = self.config.schedule()
 
     @property
@@ -186,6 +209,11 @@ class Adam:
             arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
+def _fill_shapes(config: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every rough-fill array the config implies."""
+    return ini.param_shapes(config.init_hidden) if config.strategy == "trainable" else {}
+
+
 def _window_batches(L: int, n_window: int, batch_size: int, rng):
     if L < n_window:
         raise DataError(f"series of length {L} shorter than window {n_window}")
@@ -198,62 +226,66 @@ def _window_batches(L: int, n_window: int, batch_size: int, rng):
 def _draw_targets(config: TrainConfig, visible: np.ndarray, rng) -> np.ndarray:
     if config.target_protocol == "point":
         return dt.draw_point_targets(visible, config.target_p, rng)
-    if config.target_protocol == "block":
-        return dt.draw_block_targets(
-            visible, config.target_p, config.block_p,
-            (config.block_len_min, config.block_len_max),
-            config.steps_per_hour, rng,
-        )
-    raise ConfigError(f"unknown target protocol {config.target_protocol!r}")
+    return dt.draw_block_targets(visible, config.target_p, config.block_p,
+                                 (config.block_len_min, config.block_len_max),
+                                 config.steps_per_hour, rng)
+
+
+def _batches(grid: dt.MaskedGrid, config: TrainConfig, epochs: int, rng,
+             in_sample: bool = False):
+    """Yield ``(values, cond_vis, target, window_phase)`` per training batch.
+
+    Windows are cut at random offsets; the targets are the annotated eval
+    cells (``in_sample``) or drawn from the visible cells, which then leave
+    the condition.  A window is kept if it has a target and a visible cell.
+    """
+    n_window = config.n_window
+    for _ in range(epochs):
+        for starts in _window_batches(grid.shape[0], n_window, config.batch_size, rng):
+            steps = starts[:, None] + np.arange(n_window)
+            values, vis = grid.values[steps], grid.visible_mask[steps]
+            if in_sample:
+                target, cond_vis = grid.eval_mask[steps], vis
+            else:
+                target = _draw_targets(config, vis, rng)
+                cond_vis = vis & ~target
+            keep = target.any(axis=(1, 2)) & cond_vis.any(axis=(1, 2))
+            if keep.any():
+                # each window's phase in the denoiser's temporal table
+                phase = steps % n_window
+                yield values[keep], cond_vis[keep], target[keep], phase[keep]
 
 
 def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
-                     rng: np.random.Generator) -> tuple[ini.InitialModel, list]:
-    """Fit the trainable rough-fill model on re-masked batches.
+                     rng: np.random.Generator) -> tuple[dict, list]:
+    """Fit the trainable rough fill on re-masked batches.
 
     No-op (with a warning) for parameterless strategies; skipped when the
-    config says so.  Returns the model and the per-step loss trace.
+    config says so.  Returns the fill's arrays and the per-step loss trace.
     """
-    model = ini.InitialModel(config.strategy, config.init_hidden)
-    if not model.trainable:
+    if config.strategy != "trainable":
         warnings.warn(f"strategy {config.strategy!r} has no trainable parameters")
-        return model, []
-    model.params = ini.init_trainable_params(config.init_hidden, rng)
+        return {}, []
+    params = ini.init_trainable_params(config.init_hidden, rng)
     if config.skip_pretrain:
-        return model, []
-    adam = Adam(model.params, config.learning_rate)
+        return params, []
+    adam = Adam(params, config.learning_rate)
     losses = []
-    L = grid.shape[0]
-    for _ in range(config.pretrain_epochs):
-        for starts in _window_batches(L, config.n_window, config.batch_size, rng):
-            values, vis, _ = _slice_windows(grid, starts, config.n_window)
-            target = _draw_targets(config, vis, rng)
-            keep = target.reshape(len(starts), -1).any(axis=1)
-            if not keep.any():
-                continue
-            values, vis, target = values[keep], vis[keep], target[keep]
-            cond_vis = vis & ~target
-            leaves = ad.leaves(model.params)
-            x_init = ini.impute_initial(values, cond_vis, graph, model, leaves)
-            loss = ini.init_loss(x_init, values, target, config.init_norm)
-            if not np.isfinite(loss.value):
-                raise NumericError("non-finite pretraining loss")
-            loss.backward()
-            adam.step(model.params, ad.grads(leaves))
-            losses.append(float(loss.value))
-    return model, losses
+    for values, cond_vis, target, _ in _batches(grid, config, config.pretrain_epochs, rng):
+        leaves = ad.leaves(params)
+        x_init = ini.impute_initial(values, cond_vis, graph, config.strategy, leaves)
+        loss = ini.init_loss(x_init, values, target, config.init_norm)
+        if not np.isfinite(loss.value):
+            raise NumericError("non-finite pretraining loss")
+        loss.backward()
+        adam.step(params, ad.grads(leaves))
+        losses.append(float(loss.value))
+    return params, losses
 
 
 def _group(arrays: dict, prefix: str) -> dict:
     """The entries named ``prefix/<name>``, keyed by ``<name>``."""
     return {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith(prefix + "/")}
-
-
-def _slice_windows(grid: dt.MaskedGrid, starts, n_window: int):
-    values = np.stack([grid.values[s : s + n_window] for s in starts])
-    vis = np.stack([grid.visible_mask[s : s + n_window] for s in starts])
-    ev = np.stack([grid.eval_mask[s : s + n_window] for s in starts])
-    return values, vis, ev
 
 
 def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
@@ -266,82 +298,62 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
 
     grid_n, stats = dt.normalize(grid)
     sched = config.schedule()
+    initial = {}
     if config.strategy == "trainable":
-        model, _ = pretrain_initial(grid_n, graph, config, rng)
-    else:
-        model = ini.InitialModel(config.strategy, config.init_hidden)
+        initial, _ = pretrain_initial(grid_n, graph, config, rng)
 
     dcfg = config.denoiser_config(grid.shape[1])
     dparams = dn.init_params(dcfg, rng)
     a_hat = dn.normalized_adjacency(graph.adjacency)
 
-    train_initial = model.trainable and not config.freeze_initial
+    train_initial = bool(initial) and not config.freeze_initial
     opt_params = {f"denoiser/{n}": arr for n, arr in dparams.items()}
     if train_initial:
-        opt_params.update({f"initial/{n}": arr for n, arr in model.params.items()})
+        opt_params.update({f"initial/{n}": arr for n, arr in initial.items()})
     adam = Adam(opt_params, config.learning_rate)
 
     log = []
-    step = 0
-    L = grid.shape[0]
-    for _ in range(config.epochs):
-        for starts in _window_batches(L, config.n_window, config.batch_size, rng):
-            values, vis, ev = _slice_windows(grid_n, starts, config.n_window)
-            # each window's phase in the denoiser's temporal table
-            widx = (starts[:, None] + np.arange(config.n_window)) % config.n_window
-            if config.mask_mode == "in_sample":
-                target = ev
-                cond_vis = vis
-            else:
-                target = _draw_targets(config, vis, rng)
-                cond_vis = vis & ~target
-            keep = (target.reshape(len(starts), -1).any(axis=1)
-                    & cond_vis.reshape(len(starts), -1).any(axis=1))
-            if not keep.any():
-                continue
-            values, cond_vis, target, widx = (
-                values[keep], cond_vis[keep], target[keep], widx[keep])
-            b = values.shape[0]
+    batches = _batches(grid_n, config, config.epochs, rng,
+                       in_sample=config.mask_mode == "in_sample")
+    for step, (values, cond_vis, target, phase) in enumerate(batches):
+        leaves = ad.leaves(opt_params)
+        x_init = ini.impute_initial(values, cond_vis, graph, config.strategy,
+                                    _group(leaves, "initial") if train_initial else initial)
+        z0m, z0c = ini.residual_and_condition(
+            x_init, values, target, sign=config.residual_sign,
+            no_residual=config.no_residual)
+        z0c_fwd = np.zeros_like(values) if config.no_cond_forward else z0c
 
-            leaves = ad.leaves(opt_params)
-            x_init = ini.impute_initial(values, cond_vis, graph, model,
-                                        _group(leaves, "initial") if train_initial else None)
-            z0m, z0c = ini.residual_and_condition(
-                x_init, values, target, sign=config.residual_sign,
-                no_residual=config.no_residual)
-            z0c_fwd = np.zeros_like(values) if config.no_cond_forward else z0c
+        t_draw = rng.integers(1, config.t_steps + 1, size=len(values))
+        eps = rng.standard_normal(values.shape)
+        z_t = q_sample(z0m, z0c_fwd, t_draw, eps, sched, target)
 
-            t_draw = rng.integers(1, config.t_steps + 1, size=b)
-            eps = rng.standard_normal(values.shape)
-            z_t = q_sample(z0m, z0c_fwd, t_draw, eps, sched, target)
+        net_out = dn.forward(_group(leaves, "denoiser"), dcfg, z_t, z0c, t_draw, a_hat, phase)
+        if config.predict_x0:
+            loss_simple = dn.masked_mse(net_out, z0m, target)
+        else:
+            loss_simple = dn.masked_mse(net_out, eps, target)
+        loss_init = ini.init_loss(x_init, values, target, config.init_norm)
+        loss_joint = ad.add(loss_simple, ad.mul(loss_init, config.lam))
 
-            net_out = dn.forward(_group(leaves, "denoiser"), dcfg, z_t, z0c, t_draw, a_hat, widx)
-            if config.predict_x0:
-                loss_simple = dn.masked_mse(net_out, z0m, target)
-            else:
-                loss_simple = dn.masked_mse(net_out, eps, target)
-            loss_init = ini.init_loss(x_init, values, target, config.init_norm)
-            loss_joint = ad.add(loss_simple, ad.mul(loss_init, config.lam))
+        ls = float(loss_simple.value)
+        li = float(ad.value_of(loss_init))
+        lj = float(loss_joint.value)
+        if not np.isfinite(lj):
+            raise NumericError(f"non-finite joint loss at step {step}: "
+                               f"simple={ls} init={li}")
+        loss_joint.backward()
+        adam.step(opt_params, ad.grads(leaves))
+        log.append((step, ls, li, lj))
 
-            ls = float(loss_simple.value)
-            li = float(ad.value_of(loss_init))
-            lj = float(loss_joint.value)
-            if not np.isfinite(lj):
-                raise NumericError(f"non-finite joint loss at step {step}: "
-                                   f"simple={ls} init={li}")
-            loss_joint.backward()
-            adam.step(opt_params, ad.grads(leaves))
-            log.append((step, ls, li, lj))
-            step += 1
-
-    ckpt = Checkpoint(denoiser=dparams, initial=model, stats=stats, config=config)
+    ckpt = Checkpoint(denoiser=dparams, initial=initial, stats=stats, config=config)
     return TrainResult(checkpoint=ckpt, log=log)
 
 
 # --------------------------------------------------------------------------
 # Checkpoint container: versioned binary file plus a JSON sidecar holding the
-# config and the node count, from which the schedule, the fill model and every
-# array's shape follow.  Header: magic, u32 version, u32 array count, then per
+# config and the node count, from which the schedule, the fill's strategy and
+# every array's shape follow.  Header: magic, u32 version, u32 array count, then per
 # array a u32 name length, the utf-8 name, u32 ndim and u64 dims; payload holds
 # the float64 little-endian arrays in declared order.  Arrays the loader does
 # not ask for are skipped, so files that still carry ``schedule/*`` arrays load.
@@ -354,8 +366,8 @@ def _checkpoint_arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     arrays = {"norm/mean": ckpt.stats.mean, "norm/std": ckpt.stats.std}
     for n, arr in ckpt.denoiser.items():
         arrays[f"denoiser/{n}"] = arr
-    for n in sorted(ckpt.initial.params):
-        arrays[f"initial/{n}"] = ckpt.initial.params[n]
+    for n in sorted(ckpt.initial):
+        arrays[f"initial/{n}"] = ckpt.initial[n]
     return arrays
 
 
@@ -422,20 +434,17 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig.from_dict(sidecar["config"])
         n_nodes = int(sidecar["n_nodes"])
         dshapes = dn.param_shapes(config.denoiser_config(n_nodes))
-        model = ini.InitialModel(config.strategy, config.init_hidden)
-        ishapes = ini.param_shapes(model.hidden) if model.trainable else {}
         shapes = {"norm/mean": (n_nodes,), "norm/std": (n_nodes,),
-                  **{f"denoiser/{n}": shape for n, shape in dshapes.items()},
-                  **{f"initial/{n}": shape for n, shape in ishapes.items()}}
+                  **{f"denoiser/{n}": shape for n, shape in dshapes.items()}}
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise DataError(f"checkpoint {path}: {name} has shape "
                                 f"{arrays[name].shape}, its sidecar implies {shape}")
         if np.any(arrays["norm/std"] <= 0):
             raise DataError(f"checkpoint {path}: norm/std holds an entry <= 0")
-        model.params = {n: arrays[f"initial/{n}"] for n in ishapes}
         return Checkpoint(denoiser={n: arrays[f"denoiser/{n}"] for n in dshapes},
-                          initial=model, config=config,
+                          initial={n: arrays[f"initial/{n}"] for n in _fill_shapes(config)},
+                          config=config,
                           stats=dt.NormStats(mean=arrays["norm/mean"], std=arrays["norm/std"]))
     except ConfigError as exc:
         # the bad input is the checkpoint's sidecar, not the run's config

@@ -504,3 +504,40 @@ def test_cli_allocator_policy_ends_page_fault_churn():
     # importing residiff (and residiff.cli) leaves glibc's defaults in place
     assert probe["default"] > 1000, probe
     assert probe["kept"] < 200, probe
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_block_training_targets_exit_0(pipeline, tmp_path, command):
+    _, _, dsm, _ = pipeline
+    out = tmp_path / command
+    assert main([command, "--data", str(dsm), "--out", str(out), *FAST_TRAIN,
+                 "--strategy", "trainable", "--init-hidden", "4", "--pretrain-epochs", "1",
+                 "--target-protocol", "block", "--block-p", "0.05"]) == 0
+    assert (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("init_hidden", 0), ("init_hidden", -1), ("lam", float("nan")), ("lam", float("inf")),
+    ("steps_per_hour", 0), ("steps_per_hour", -1), ("epochs", -1), ("pretrain_epochs", -1),
+    ("strategy", "kriging"), ("init_norm", "l3"), ("target_protocol", "stripes"),
+])
+def test_out_of_range_training_value_exits_2_or_3_from_a_sidecar(pipeline, tmp_path,
+                                                                  capsys, key, value):
+    _, _, dsm, run = pipeline
+    out = tmp_path / "run"
+    flag = "--" + key.replace("_", "-")
+    assert main(["train", "--data", str(dsm), "--out", str(out), *FAST_TRAIN,
+                 "--strategy", "trainable", flag, str(value)]) == 2
+    _one_line_error(capsys, "config error:")
+    assert not out.exists()
+
+    ck = tmp_path / "ck.bin"
+    ck.write_bytes((run / "checkpoint.bin").read_bytes())
+    sidecar = json.loads((run / "checkpoint.bin.json").read_text())
+    sidecar["config"][key] = value
+    (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+    imp = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(ck),
+                 "--out", str(imp), "--samples", "2"]) == 3
+    assert "invalid sidecar config" in _one_line_error(capsys, "data error:")
+    assert not imp.exists()

@@ -202,6 +202,27 @@ class TestMasking:
             # overlapping blocks can merge; no run is shorter than the minimum
             assert runs.size == 0 or runs.min() >= 2
 
+    def test_block_targets_run_along_each_windows_own_time_axis(self):
+        # a batch of (B, L, N) windows: every block starts and ends inside
+        # its own window, three steps long unless the window ends first
+        vis = np.ones((4, 6, 3), dtype=bool)
+        target = dt.draw_block_targets(vis, 0.0, 0.3, (3, 3), 1, np.random.default_rng(0))
+        starts = np.random.default_rng(0).random(vis.shape) < 0.3
+        expect = starts.copy()
+        for lag in (1, 2):
+            expect[:, lag:] |= starts[:, :-lag]
+        assert starts.any()
+        np.testing.assert_array_equal(target, expect)
+
+    def test_one_window_draws_what_its_grid_draws(self):
+        grid, _ = dt.synth_generate(1, 5, 48, dt.SynthParams())
+        grid = dt.mask_point(grid, 0.2, seed=1)
+        args = (0.1, 0.05, (1, 4), 2)
+        flat = dt.draw_block_targets(grid.visible_mask, *args, np.random.default_rng(3))
+        batch = dt.draw_block_targets(grid.visible_mask[None], *args,
+                                      np.random.default_rng(3))
+        np.testing.assert_array_equal(batch, flat[None])
+
     def test_node_masking_whole_columns(self):
         grid, _ = dt.synth_generate(1, 6, 120, dt.SynthParams())
         masked = dt.mask_node(grid, [2])

@@ -10,6 +10,7 @@ from residiff import oracle as orc
 from residiff.cli import main
 from residiff.denoiser import normalized_adjacency
 from residiff.errors import ConfigError, DataError
+from residiff.trainer import TrainConfig
 
 FIXTURE = Path(__file__).parent / "fixtures" / "trainable_checkpoint"
 
@@ -32,39 +33,40 @@ def grid_from(values, observed=None, eval_mask=None):
 LINE3 = dt.Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
 
 
-def fill(g, model):
+def fill(g, strategy, params=None):
     """Rough fill of one grid, as a batch of one window."""
-    return ini.impute_initial(g.values[None], g.visible_mask[None], LINE3, model)[0]
+    return ini.impute_initial(g.values[None], g.visible_mask[None], LINE3, strategy,
+                              params or {})[0]
 
 
 def test_fully_observed_grid_is_identity():
     g = grid_from([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     for strategy in ("node_mean", "interp_graph"):
-        out = fill(g, ini.InitialModel(strategy))
+        out = fill(g, strategy)
         np.testing.assert_array_equal(out, g.values)
 
 
 def test_node_mean_column_fill():
     g = grid_from([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    out = fill(g, ini.InitialModel("node_mean"))
+    out = fill(g, "node_mean")
     assert out[1, 0] == pytest.approx(2.0)
 
 
 def test_node_mean_global_fallback_for_empty_node():
     g = grid_from([[1.0, np.nan, 5.0], [3.0, np.nan, 7.0]])
-    out = fill(g, ini.InitialModel("node_mean"))
+    out = fill(g, "node_mean")
     np.testing.assert_allclose(out[:, 1], (1 + 3 + 5 + 7) / 4.0)
 
 
 def test_all_missing_raises():
     g = grid_from(np.full((2, 3), np.nan))
     with pytest.raises(DataError):
-        fill(g, ini.InitialModel("node_mean"))
+        fill(g, "node_mean")
 
 
 def test_interp_graph_temporal_interpolation():
     g = grid_from([[0.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [4.0, 1.0, 1.0]])
-    out = fill(g, ini.InitialModel("interp_graph"))
+    out = fill(g, "interp_graph")
     assert out[1, 0] == pytest.approx(2.0)
 
 
@@ -73,7 +75,7 @@ def test_interp_graph_fills_missing_node_from_neighbors():
     # equal weight, so the fill is their average
     vals = np.array([[2.0, np.nan, 4.0], [6.0, np.nan, 10.0]])
     g = grid_from(vals)
-    out = fill(g, ini.InitialModel("interp_graph"))
+    out = fill(g, "interp_graph")
     np.testing.assert_allclose(out[:, 1], [(2 + 4) / 2, (6 + 10) / 2])
 
 
@@ -82,10 +84,10 @@ def test_observed_cells_identical_for_every_strategy():
     vals = rng.standard_normal((30, 3))
     observed = rng.random((30, 3)) < 0.7
     g = grid_from(np.where(observed, vals, np.nan), observed)
-    model_t = ini.InitialModel("trainable", hidden=4,
-                               params=ini.init_trainable_params(4, rng))
-    for model in (ini.InitialModel("node_mean"), ini.InitialModel("interp_graph"), model_t):
-        out = fill(g, model)
+    fills = [("node_mean", {}), ("interp_graph", {}),
+             ("trainable", ini.init_trainable_params(4, rng))]
+    for strategy, params in fills:
+        out = fill(g, strategy, params)
         np.testing.assert_array_equal(out[observed], g.values[observed])
         assert np.all(np.isfinite(out))
 
@@ -95,29 +97,33 @@ def test_batched_fill_matches_window_by_window():
     values = rng.standard_normal((3, 8, 3))
     visible = rng.random((3, 8, 3)) < 0.6
     visible[:, 0, :] = True
-    model_t = ini.InitialModel("trainable", hidden=4,
-                               params=ini.init_trainable_params(4, rng))
-    for model in (ini.InitialModel("node_mean"), ini.InitialModel("interp_graph"), model_t):
-        batched = ini.impute_initial(values, visible, LINE3, model)
+    fills = [("node_mean", {}), ("interp_graph", {}),
+             ("trainable", ini.init_trainable_params(4, rng))]
+    for strategy, params in fills:
+        batched = ini.impute_initial(values, visible, LINE3, strategy, params)
         for b in range(3):
-            one = ini.impute_initial(values[b : b + 1], visible[b : b + 1], LINE3, model)
+            one = ini.impute_initial(values[b : b + 1], visible[b : b + 1], LINE3,
+                                     strategy, params)
             np.testing.assert_allclose(batched[b], one[0], rtol=0, atol=1e-12)
 
 
 def test_tensor_params_make_the_fill_differentiable():
     rng = np.random.default_rng(5)
-    model = ini.InitialModel("trainable", hidden=4, params=ini.init_trainable_params(4, rng))
+    params = ini.init_trainable_params(4, rng)
     values = rng.standard_normal((2, 6, 3))
     visible = rng.random((2, 6, 3)) < 0.6
-    pt = ad.leaves(model.params)
-    out = ini.impute_initial(values, visible, LINE3, model, pt)
+    pt = ad.leaves(params)
+    out = ini.impute_initial(values, visible, LINE3, "trainable", pt)
     assert isinstance(out, ad.Tensor)
-    np.testing.assert_array_equal(out.value, ini.impute_initial(values, visible, LINE3, model))
+    np.testing.assert_array_equal(
+        out.value, ini.impute_initial(values, visible, LINE3, "trainable", params))
 
 
 def test_unknown_strategy_rejected():
     with pytest.raises(ConfigError):
-        ini.InitialModel("kriging")
+        TrainConfig(strategy="kriging")
+    with pytest.raises(ConfigError):
+        fill(grid_from([[1.0, 2.0, 3.0]]), "kriging")
 
 
 class TestResidualAndCondition:
@@ -212,7 +218,7 @@ def test_trainable_fill_is_differentiable_and_mergeable():
     values = rng.standard_normal((2, 6, 3))
     visible = rng.random((2, 6, 3)) < 0.6
     mix = np.eye(3)
-    out = ini.trainable_fill(pt, 4, values, visible, mix)
+    out = ini.trainable_fill(pt, values, visible, mix)
     assert isinstance(out, ad.Tensor)
     loss = ini.init_loss(out, values, ~visible)
     loss.backward()
@@ -243,8 +249,8 @@ FILL_CASES = [(1, 6, 4, 1), (3, 6, 4, 1), (1, 7, 5, 4), (3, 7, 5, 4),
 @pytest.mark.parametrize("b,length,n,hidden", FILL_CASES)
 def test_fused_fill_equals_the_unrolled_reference(b, length, n, hidden):
     params, values, visible, mix = fill_case(b, length, n, hidden)
-    plain = ini.trainable_fill(params, hidden, values, visible, mix)
-    ref = orc.trainable_fill_reference(params, hidden, values, visible, mix)
+    plain = ini.trainable_fill(params, values, visible, mix)
+    ref = orc.trainable_fill_reference(params, values, visible, mix)
     assert isinstance(plain, np.ndarray) and isinstance(ref, np.ndarray)
     assert np.array_equal(plain, ref)
 
@@ -252,7 +258,7 @@ def test_fused_fill_equals_the_unrolled_reference(b, length, n, hidden):
     grads = []
     for fill in (ini.trainable_fill, orc.trainable_fill_reference):
         leaves = ad.leaves(params)
-        out = fill(leaves, hidden, values, visible, mix)
+        out = fill(leaves, values, visible, mix)
         assert np.array_equal(out.value, plain)
         ad.sum_(ad.mul(ad.mul(out, out), weights)).backward()
         grads.append(ad.grads(leaves))
@@ -267,7 +273,7 @@ def test_fused_fill_passes_finite_differences():
     params, values, visible, mix = fill_case(2, 5, 3, 3, seed=2)
     target = ~visible
     report = orc.finite_diff_check(
-        lambda p: ini.init_loss(ini.trainable_fill(p, 3, values, visible, mix),
+        lambda p: ini.init_loss(ini.trainable_fill(p, values, visible, mix),
                                 values, target, "l2"), params)
     assert report["max_rel_err"] <= 1e-4
 
@@ -278,7 +284,7 @@ def test_fused_fill_runs_its_backward_once_per_output_gradient(monkeypatch):
     bptt = ini._bptt
     monkeypatch.setattr(ini, "_bptt", lambda *a: calls.append(1) or bptt(*a))
     leaves = ad.leaves(params)
-    out = ini.trainable_fill(leaves, 4, values, visible, mix)
+    out = ini.trainable_fill(leaves, values, visible, mix)
     ini.init_loss(out, values, ~visible).backward()
     assert len(calls) == 2  # one pass per direction serves all 14 parameters
     assert all(leaf.grad is not None for leaf in leaves.values())

@@ -63,19 +63,19 @@ def test_pretrain_noop_for_parameterless_strategy(tiny_data):
     grid, graph = tiny_data
     cfg = tr.TrainConfig(strategy="node_mean", **FAST)
     with pytest.warns(UserWarning):
-        model, losses = tr.pretrain_initial(grid, graph, cfg, np.random.default_rng(0))
-    assert not model.trainable and losses == []
+        params, losses = tr.pretrain_initial(grid, graph, cfg, np.random.default_rng(0))
+    assert params == {} and losses == []
 
 
 def test_pretrain_skip_returns_initialization(tiny_data):
     grid, graph = tiny_data
     cfg = tr.TrainConfig(strategy="trainable", init_hidden=4, skip_pretrain=True, **FAST)
     rng = np.random.default_rng(3)
-    model, losses = tr.pretrain_initial(grid, graph, cfg, rng)
+    params, losses = tr.pretrain_initial(grid, graph, cfg, rng)
     ref = ini.init_trainable_params(4, np.random.default_rng(3))
     assert losses == []
     for k in ref:
-        np.testing.assert_array_equal(model.params[k], ref[k])
+        np.testing.assert_array_equal(params[k], ref[k])
 
 
 def test_pretrain_reduces_loss_three_seed_median():
@@ -149,7 +149,7 @@ def test_lambda_zero_frozen_initial_unchanged(tiny_data):
     result = tr.train_joint(grid, graph, cfg)
     ref = ini.init_trainable_params(4, np.random.default_rng(5))
     for k in ref:
-        np.testing.assert_array_equal(result.checkpoint.initial.params[k], ref[k])
+        np.testing.assert_array_equal(result.checkpoint.initial[k], ref[k])
 
 
 def test_joint_training_moves_initial_params_when_not_frozen(tiny_data):
@@ -159,7 +159,7 @@ def test_joint_training_moves_initial_params_when_not_frozen(tiny_data):
     result = tr.train_joint(grid, graph, cfg)
     ref = ini.init_trainable_params(4, np.random.default_rng(5))
     moved = any(
-        not np.array_equal(result.checkpoint.initial.params[k], ref[k]) for k in ref
+        not np.array_equal(result.checkpoint.initial[k], ref[k]) for k in ref
     )
     assert moved
 
@@ -238,8 +238,8 @@ class TestCheckpointContainer:
         assert list(loaded.denoiser) == list(ck.denoiser)
         for n, v in ck.denoiser.items():
             np.testing.assert_array_equal(loaded.denoiser[n], v)
-        for k, v in ck.initial.params.items():
-            np.testing.assert_array_equal(loaded.initial.params[k], v)
+        for k, v in ck.initial.items():
+            np.testing.assert_array_equal(loaded.initial[k], v)
         assert loaded.config == ck.config
 
     def test_sidecar_is_json(self, tiny_data, tmp_path):
@@ -265,16 +265,29 @@ def _tiny_checkpoint(path, strategy="node_mean"):
     cfg = tr.TrainConfig(t_steps=5, beta_min=0.05, beta_max=0.3, d=8, head_count=2,
                          n_window=12, strategy=strategy, init_hidden=4)
     rng = np.random.default_rng(0)
-    model = ini.InitialModel(strategy, 4)
-    if model.trainable:
-        model.params = ini.init_trainable_params(4, rng)
+    initial = ini.init_trainable_params(4, rng) if strategy == "trainable" else {}
     ck = tr.Checkpoint(
         denoiser=dn.init_params(cfg.denoiser_config(5), rng),
-        initial=model, stats=dt.NormStats(np.zeros(5), np.ones(5)),
+        initial=initial, stats=dt.NormStats(np.zeros(5), np.ones(5)),
         config=cfg,
     )
     tr.save_checkpoint(ck, path)
     return ck
+
+
+@pytest.mark.parametrize("strategy,hidden,fill_width", [
+    ("node_mean", 4, 4),  # a trainable fill under a parameterless config
+    ("trainable", 4, None),  # no fill arrays under a trainable config
+    ("trainable", 8, 4),  # a fill narrower than the config's init_hidden
+])
+def test_checkpoint_fill_must_match_its_config(strategy, hidden, fill_width):
+    cfg = tr.TrainConfig(t_steps=5, d=8, head_count=2, n_window=12, strategy=strategy,
+                         init_hidden=hidden)
+    rng = np.random.default_rng(0)
+    initial = ini.init_trainable_params(fill_width, rng) if fill_width else {}
+    with pytest.raises(DataError, match=r"initial/\w+: found"):
+        tr.Checkpoint(denoiser=dn.init_params(cfg.denoiser_config(5), rng), initial=initial,
+                      stats=dt.NormStats(np.zeros(5), np.ones(5)), config=cfg)
 
 
 class TestCorruptCheckpoint:
@@ -359,7 +372,7 @@ class TestCorruptCheckpoint:
         # the sidecar's config alone describes the fill model
         path = tmp_path / "ck.bin"
         _tiny_checkpoint(path, strategy)
-        assert tr.load_checkpoint(path).initial.params.keys() == (
+        assert tr.load_checkpoint(path).initial.keys() == (
             ini.param_shapes(4).keys() if strategy == "trainable" else set())
         sidecar = json.loads((tmp_path / "ck.bin.json").read_text())
         sidecar["config"].update(edit)
@@ -375,7 +388,7 @@ class TestCorruptCheckpoint:
         sidecar["config"]["strategy"] = "node_mean"
         (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
         loaded = tr.load_checkpoint(path)
-        assert (loaded.initial.strategy, loaded.initial.params) == ("node_mean", {})
+        assert loaded.initial == {}
         assert loaded.config.strategy == "node_mean"
 
     @pytest.mark.parametrize("key", ["config", "n_nodes",
