@@ -20,13 +20,19 @@ from the terminal state before combining the residual with the rough fill.
 
 The series is cut once into whole windows plus at most one shorter tail; a
 reshape turns each part of the chain state into a window batch for the
-denoiser, ``_windows_per_call`` windows per call.  A window's prediction does
-not depend on its batch and each sample chain owns an RNG stream derived from
-(root seed, sample index), so results do not depend on how windows split into
-calls.  Non-visible cells are initialized from standard normal noise on target
-cells only; visible cells pass through untouched in every sample.  The chain
-state is checked once per reverse step; a non-finite one raises
-``NumericError`` naming the step.
+denoiser.  Each call takes ``_windows_per_call`` windows, as many as keep one
+attention score tensor within a core's L2 cache (with 24-step windows and 4
+heads: 5 windows at 20 nodes, one from 50 nodes up), so each op's operands
+stay in cache and a call's memory stays bounded at any graph size.  Each
+sample chain owns an RNG stream derived from (root seed, sample index), and a
+window's prediction does not depend on its batch when the window holds a
+multiple of 4 cells, as every 24-step window does; then results do not
+depend on how windows split into calls.  (Otherwise the output head's
+BLAS matrix-vector product can move the last bits of a window's last cells,
+depending on where the window sits in its call.)  Non-visible cells are
+initialized from standard normal noise on target cells only; visible cells
+pass through untouched in every sample.  The chain state is checked once per
+reverse step; a non-finite one raises ``NumericError`` naming the step.
 """
 
 from __future__ import annotations
@@ -142,12 +148,18 @@ def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
 
 
 Q_LEVELS = (0.05, 0.95)  # the quantile band every imputation reports
-_SCORE_BYTES = 48 * 2**20  # one attention score tensor per denoiser call
+# Budget for one attention score tensor per denoiser call: one core's L2
+# cache (2 MiB on a 2-core Xeon).  It bounds both the working set of each op,
+# whose operands then stay in cache (at 20 nodes, 100-window calls took 1.75x
+# the time per window of 5-window calls), and the memory a call holds at any
+# node count.
+_SCORE_BYTES = 2 * 2**20
 
 
 def _windows_per_call(n_nodes: int, n_window: int, head_count: int) -> int:
     """Windows per denoiser call that keep the larger score tensor, temporal
-    (N, h, L, L) or spatial (L, h, N, N) per window, within _SCORE_BYTES."""
+    (N, h, L, L) or spatial (L, h, N, N) per window, within _SCORE_BYTES;
+    never fewer than one."""
     per_window = 8 * head_count * n_window * n_nodes * max(n_window, n_nodes)
     return max(1, _SCORE_BYTES // per_window)
 
@@ -197,10 +209,12 @@ class _SamplerSetup:
         self.z0c_chain = np.zeros_like(self.z0c) if cfg.no_cond_forward else self.z0c
 
         # whole windows, then at most one shorter tail, each with its condition
-        # batch; windows start at multiples of n_window, so the denoiser's
-        # default time index is each window's phase
+        # batch and the windows per denoiser call its shape allows; windows
+        # start at multiples of n_window, so the denoiser's default time index
+        # is each window's phase
         cut = L - L % n_window
-        self.parts = [(slice(lo, hi), self.z0c_chain[lo:hi].reshape(-1, length, n_nodes))
+        self.parts = [(slice(lo, hi), self.z0c_chain[lo:hi].reshape(-1, length, n_nodes),
+                       _windows_per_call(n_nodes, length, self.config.head_count))
                       for lo, hi, length in ((0, cut, n_window), (cut, L, L - cut))
                       if hi > lo]
 
@@ -208,10 +222,9 @@ class _SamplerSetup:
         """Denoiser output for an (S, L, N) state, over sample-major window batches."""
         s_count, _, n_nodes = z_full.shape
         out = np.empty_like(z_full)
-        for sl, cond in self.parts:
+        for sl, cond, step in self.parts:
             z_batch = z_full[:, sl].reshape((-1,) + cond.shape[1:])
             c_batch = np.tile(cond, (s_count, 1, 1))
-            step = _windows_per_call(n_nodes, cond.shape[1], self.config.head_count)
             preds = np.empty_like(z_batch)
             for win in (slice(lo, lo + step) for lo in range(0, len(z_batch), step)):
                 preds[win] = dn.forward(self.params, self.config,

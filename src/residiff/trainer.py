@@ -293,6 +293,11 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     """Run the full two-stage training loop and return a checkpoint."""
     if not grid.observed_mask.any():
         raise DataError("training data has no observed cells")
+    if config.mask_mode == "in_sample" and not grid.eval_mask.any():
+        # in-sample training targets the eval cells; without any it would
+        # run zero steps and write an untrained checkpoint
+        raise DataError("mask mode in_sample trains on the eval cells, "
+                        "and the training data has none")
     if rng is None:
         rng = np.random.default_rng(config.seed)
 

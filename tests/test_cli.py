@@ -392,6 +392,15 @@ def test_train_degenerate_window_or_learning_rate_exits_2(pipeline, tmp_path, ca
     assert not out.exists()
 
 
+def test_in_sample_training_without_eval_cells_exits_3(pipeline, tmp_path, capsys):
+    _, ds, _, _ = pipeline  # the unmasked synthetic grid has no eval cells
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(ds), "--out", str(out), *FAST_TRAIN,
+                 "--mask-mode", "in_sample"]) == 3
+    assert "eval cells" in _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("n_window", 0), ("learning_rate", -1.0)])
 def test_impute_checkpoint_with_invalid_training_values_exits_3(pipeline, tmp_path,
                                                                 capsys, key, value):

@@ -198,13 +198,29 @@ def test_quantile_band_is_monotone(tiny_run):
     assert out.metrics is not None and np.isfinite(out.metrics["mae"])
 
 
-def test_seeded_determinism_independent_of_chunking(tiny_run, monkeypatch):
-    grid, graph, ckpt = tiny_run
-    a = sp.ancestral_impute(ckpt, grid, graph, S=2, rng=np.random.default_rng(42))
-    for per_call in (1, 3):
+@pytest.fixture(scope="module")
+def wide_run():
+    """The benchmark's graph size and denoiser shape (20 nodes, 24-step
+    windows, d 32, 4 heads) over four whole windows and a 14-step tail."""
+    grid, graph = dt.synth_generate(4, 20, 110, dt.SynthParams())
+    grid = dt.mask_point(grid, 0.3, seed=2)
+    cfg = TrainConfig(t_steps=6, epochs=1, batch_size=4, n_window=24, seed=0,
+                      d=32, head_count=4)
+    return grid, graph, train_joint(grid, graph, cfg).checkpoint
+
+
+def test_seeded_determinism_independent_of_chunking(tiny_run, wide_run, monkeypatch):
+    (grid, graph, ckpt), (wgrid, wgraph, wckpt) = tiny_run, wide_run
+    runs = [lambda: sp.ancestral_impute(ckpt, grid, graph, S=2, rng=np.random.default_rng(42)),
+            # 15 windows at 3 samples: the default sends 5, 5, 2 and 3 per call
+            lambda: sp.accelerated_impute(wckpt, wgrid, wgraph, K=3, S=3,
+                                          rng=np.random.default_rng(42))]
+    defaults = [run().samples for run in runs]
+    # 10**6: every window of a part in one call, as a 48 MiB budget sent them
+    for per_call in (1, 3, 10**6):
         monkeypatch.setattr(sp, "_windows_per_call", lambda *_, k=per_call: k)
-        b = sp.ancestral_impute(ckpt, grid, graph, S=2, rng=np.random.default_rng(42))
-        np.testing.assert_array_equal(a.samples, b.samples)
+        for run, samples in zip(runs, defaults):
+            np.testing.assert_array_equal(run().samples, samples)
 
 
 def test_each_window_is_predicted_once_within_the_bound(tiny_run, monkeypatch):
@@ -234,9 +250,10 @@ def test_each_window_is_predicted_once_within_the_bound(tiny_run, monkeypatch):
 
 
 def test_windows_per_call_follows_the_node_count():
-    # 24-step windows and 4 heads: the benchmark's 20 nodes, a 325-sensor graph
-    assert sp._windows_per_call(20, 24, 4) >= 100
-    assert sp._windows_per_call(325, 24, 4) == 1
+    # 24-step windows and 4 heads, up to the benchmark's 20 nodes and a
+    # 325-sensor graph: one score tensor per call stays within 2 MiB
+    counts = {n: sp._windows_per_call(n, 24, 4) for n in (8, 20, 50, 100, 325)}
+    assert counts == {8: 14, 20: 5, 50: 1, 100: 1, 325: 1}
 
 
 def test_sample_count_validation(tiny_run):
