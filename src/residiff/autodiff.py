@@ -11,6 +11,13 @@ Parameters travel as plain name -> array dicts.  ``leaves`` wraps such a dict
 as fresh Tensor leaves for one taped evaluation, and after ``backward``
 ``grads`` reads their gradients back under the same names.
 
+``backward`` consumes the tape it walks: each interior node drops its
+gradient and its links to its parents as soon as it has passed the gradient
+on, so a training step never holds more than the graph it is differentiating.
+Leaves keep their gradients, and every node keeps its value.  To
+differentiate again, build the graph again; a second ``backward`` through a
+consumed node raises ``RuntimeError``.
+
 The engine is deliberately small: only the primitives needed by the models in
 this package are implemented.  All values are float64; gradients accumulate
 by summation in a fixed topological order, so results are deterministic.
@@ -68,7 +75,15 @@ class Tensor:
         return self.value.shape
 
     def backward(self):
-        """Run reverse accumulation seeding this (scalar) node with grad 1."""
+        """Run reverse accumulation seeding this (scalar) node with grad 1.
+
+        Backward consumes the tape.  Once an interior node has passed its
+        gradient to its parents, its ``grad``, parents and gradient functions
+        are dropped, so the arrays only they held are freed while the walk
+        goes on; afterwards only leaves hold a gradient, and every interior
+        node keeps just its ``value``.  A later ``backward`` that reaches a
+        consumed node raises ``RuntimeError``.
+        """
         order: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]
@@ -79,6 +94,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._grad_fns is None:
+                raise RuntimeError("graph already consumed by backward; "
+                                   "build it again to differentiate again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -87,12 +105,17 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node.grad is None:
-                continue
-            for parent, grad_fn in zip(node._parents, node._grad_fns):
-                g = grad_fn(node.grad)
-                parent.grad = g if parent.grad is None else parent.grad + g
+        while order:
+            node = order.pop()
+            if not node._parents:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
+                for parent, grad_fn in zip(node._parents, node._grad_fns):
+                    g = grad_fn(node.grad)
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad = None
+            node._parents = ()
+            node._grad_fns = None
 
     def __getitem__(self, idx):
         return index(self, idx)

@@ -223,3 +223,29 @@ def test_backward_accumulates_through_shared_nodes():
     z.backward()
     # d/dt (7t)^2 = 98 t
     np.testing.assert_allclose(t.grad, [98.0 * 2.0])
+
+
+def test_backward_twice_on_one_loss_raises():
+    t = ad.Tensor(np.array([2.0, -1.0]))
+    loss = ad.sum_(ad.mul(t, t))
+    loss.backward()
+    np.testing.assert_array_equal(t.grad, [4.0, -2.0])
+    with pytest.raises(RuntimeError, match="graph already consumed by backward"):
+        loss.backward()
+    # the failed call changed nothing: the leaf keeps its gradient
+    np.testing.assert_array_equal(t.grad, [4.0, -2.0])
+
+
+def test_new_graph_through_a_consumed_node_raises():
+    t = ad.Tensor(np.array([3.0]))
+    y = ad.mul(t, 2.0)
+    ad.sum_(y).backward()
+    # the consumed node still serves its value to a new graph ...
+    again = ad.sum_(ad.mul(y, y))
+    assert float(again.value) == 36.0
+    # ... but cannot be differentiated through a second time
+    with pytest.raises(RuntimeError, match="graph already consumed by backward"):
+        again.backward()
+    # a graph rebuilt from the leaf differentiates as before
+    ad.sum_(ad.mul(ad.mul(t, 2.0), ad.mul(t, 2.0))).backward()
+    np.testing.assert_array_equal(t.grad, [24.0])
