@@ -11,12 +11,18 @@ Parameters travel as plain name -> array dicts.  ``leaves`` wraps such a dict
 as fresh Tensor leaves for one taped evaluation, and after ``backward``
 ``grads`` reads their gradients back under the same names.
 
+The tape is made of value-free nodes: a Tensor pairs its value with its
+node, and a node links to its parents' nodes and holds one gradient function
+per parent.  A gradient function keeps only what its formula reads (shapes,
+or the operand values and outputs it multiplies by), so an interior value
+lives only while the caller holds its Tensor or a gradient function reads
+it; the tape keeps no value for its own sake.
+
 ``backward`` consumes the tape it walks: each interior node drops its
 gradient and its links to its parents as soon as it has passed the gradient
 on, so a training step never holds more than the graph it is differentiating.
-Leaves keep their gradients, and every node keeps its value.  To
-differentiate again, build the graph again; a second ``backward`` through a
-consumed node raises ``RuntimeError``.
+Leaves keep their gradients.  To differentiate again, build the graph again;
+a second ``backward`` through a consumed node raises ``RuntimeError``.
 
 The engine is deliberately small: only the primitives needed by the models in
 this package are implemented.  All values are float64; gradients accumulate
@@ -51,42 +57,59 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A node in the reverse-mode tape.
-
-    ``_parents`` holds the Tensor operands only; ``_grad_fns[i]`` maps the
-    output gradient to the gradient of ``_parents[i]``.
+class _Node:
+    """A tape entry, holding no value: the gradient accumulated so far, the
+    nodes of the Tensor operands and, per operand, the function mapping the
+    output gradient to that operand's gradient.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_grad_fns")
+    __slots__ = ("grad", "parents", "grad_fns")
+
+    def __init__(self, parents=(), grad_fns=()):
+        self.grad = None
+        self.parents = parents
+        self.grad_fns = grad_fns
+
+
+class Tensor:
+    """A value and its tape node.
+
+    The node links to its parents' nodes, not to their Tensors, so an
+    interior value lives only while the caller holds its Tensor or a
+    gradient function reads it.
+    """
+
+    __slots__ = ("value", "node")
 
     # keep numpy from consuming Tensors in mixed expressions: ndarray * Tensor
     # raises TypeError instead of building an object array
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), grad_fns=()):
+    def __init__(self, value, node=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self._parents = parents
-        self._grad_fns = grad_fns
+        self.node = _Node() if node is None else node
 
     @property
     def shape(self):
         return self.value.shape
 
+    @property
+    def grad(self):
+        return self.node.grad
+
     def backward(self):
         """Run reverse accumulation seeding this (scalar) node with grad 1.
 
         Backward consumes the tape.  Once an interior node has passed its
-        gradient to its parents, its ``grad``, parents and gradient functions
-        are dropped, so the arrays only they held are freed while the walk
-        goes on; afterwards only leaves hold a gradient, and every interior
-        node keeps just its ``value``.  A later ``backward`` that reaches a
-        consumed node raises ``RuntimeError``.
+        gradient to its parents, its gradient, parents and gradient
+        functions are dropped, so the arrays only they held are freed while
+        the walk goes on; afterwards only leaves hold a gradient.  A later
+        ``backward`` that reaches a consumed node raises ``RuntimeError``.
         """
-        order: list[Tensor] = []
+        root = self.node
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -94,28 +117,28 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._grad_fns is None:
+            if node.grad_fns is None:
                 raise RuntimeError("graph already consumed by backward; "
                                    "build it again to differentiate again")
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         for node in order:
             node.grad = None
-        self.grad = np.ones_like(self.value)
+        root.grad = np.ones_like(self.value)
         while order:
             node = order.pop()
-            if not node._parents:
+            if not node.parents:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
-                for parent, grad_fn in zip(node._parents, node._grad_fns):
+                for parent, grad_fn in zip(node.parents, node.grad_fns):
                     g = grad_fn(node.grad)
                     parent.grad = g if parent.grad is None else parent.grad + g
             node.grad = None
-            node._parents = ()
-            node._grad_fns = None
+            node.parents = ()
+            node.grad_fns = None
 
     def __getitem__(self, idx):
         return index(self, idx)
@@ -152,8 +175,8 @@ def _node(out, operands, grad_fns):
     tracked = [i for i, x in enumerate(operands) if isinstance(x, Tensor)]
     if not tracked:
         return out
-    return Tensor(out, tuple(operands[i] for i in tracked),
-                  tuple(grad_fns[i] for i in tracked))
+    return Tensor(out, _Node(tuple(operands[i].node for i in tracked),
+                             tuple(grad_fns[i] for i in tracked)))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -169,22 +192,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+# A gradient function's closure names only what its formula reads: naming
+# an operand just for its ``.shape`` would keep its value alive until backward.
+
+
 def add(a, b):
     av, bv = value_of(a), value_of(b)
-    return _node(av + bv, (a, b), (lambda g: _unbroadcast(g, av.shape),
-                                   lambda g: _unbroadcast(g, bv.shape)))
+    sa, sb = av.shape, bv.shape
+    return _node(av + bv, (a, b), (lambda g: _unbroadcast(g, sa),
+                                   lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b):
     av, bv = value_of(a), value_of(b)
-    return _node(av - bv, (a, b), (lambda g: _unbroadcast(g, av.shape),
-                                   lambda g: _unbroadcast(-g, bv.shape)))
+    sa, sb = av.shape, bv.shape
+    return _node(av - bv, (a, b), (lambda g: _unbroadcast(g, sa),
+                                   lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    return _node(av * bv, (a, b), (lambda g: _unbroadcast(g * bv, av.shape),
-                                   lambda g: _unbroadcast(g * av, bv.shape)))
+    sa, sb = av.shape, bv.shape
+    return _node(av * bv, (a, b), (lambda g: _unbroadcast(g * bv, sa),
+                                   lambda g: _unbroadcast(g * av, sb)))
 
 
 def absolute(a):
@@ -200,9 +230,10 @@ def tanh(a):
 
 def matmul(a, b):
     av, bv = value_of(a), value_of(b)
+    sa, sb = av.shape, bv.shape
     return _node(av @ bv, (a, b),
-                 (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape),
-                  lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
+                 (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), sa),
+                  lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, sb)))
 
 
 def einsum2(spec: str, a, b):
@@ -305,8 +336,11 @@ def attention(q, k, v):
 
     def grads_for(g):
         if cache.get("g") is not g:
-            g_attn = g @ np.swapaxes(vv, -1, -2)
-            gs = (g_attn - np.sum(g_attn * attn, axis=-1, keepdims=True)) * attn
+            # the softmax gradient (g_attn - Σ g_attn·attn) · attn, formed in
+            # place on g_attn = g vᵀ
+            gs = g @ np.swapaxes(vv, -1, -2)
+            gs -= np.sum(gs * attn, axis=-1, keepdims=True)
+            gs *= attn
             cache.clear()
             cache.update(g=g, q=gs @ kv,
                          k=np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2),
@@ -319,18 +353,20 @@ def attention(q, k, v):
 
 def sum_(a, axis=None):
     av = value_of(a)
+    shape = av.shape
 
     def grad(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, av.shape).copy()
+        return np.broadcast_to(g, shape).copy()
 
     return _node(np.sum(av, axis=axis), (a,), (grad,))
 
 
 def reshape(a, shape):
     av = value_of(a)
-    return _node(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
+    sa = av.shape
+    return _node(av.reshape(shape), (a,), (lambda g: g.reshape(sa),))
 
 
 def transpose(a, axes):
@@ -347,9 +383,10 @@ def pad(a, pad_width):
 def index(a, idx):
     """Basic slicing/integer indexing; backward scatters into zeros."""
     av = value_of(a)
+    shape = av.shape
 
     def grad(g):
-        full = np.zeros_like(av)
+        full = np.zeros(shape)
         full[idx] = g
         return full
 

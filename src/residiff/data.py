@@ -112,8 +112,9 @@ class MaskedGrid:
 # CSV I/O
 
 
-def _format(x: float) -> str:
-    return repr(float(x))
+def _reprs(x) -> list[str]:
+    """repr of each entry of a 1-D array as a Python float."""
+    return list(map(repr, np.asarray(x, dtype=np.float64).tolist()))
 
 
 def _parse_timestamp(token: str) -> float:
@@ -217,35 +218,35 @@ def save_values_csv(path, values, timestamps, node_ids, observed_mask=None):
 
     Floats are written with repr so a load/save round trip is bit exact.
     """
-    values = np.asarray(values)
+    times = _reprs(timestamps)
+    rows = np.asarray(values, dtype=np.float64).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", *node_ids])
-        for i in range(values.shape[0]):
-            row = [_format(timestamps[i])]
-            for j in range(values.shape[1]):
-                if observed_mask is not None and not observed_mask[i, j]:
-                    row.append("")
-                else:
-                    row.append(_format(values[i, j]))
-            writer.writerow(row)
+        if observed_mask is None:
+            for stamp, row in zip(times, rows, strict=True):
+                writer.writerow([stamp, *map(repr, row)])
+        else:
+            shown = np.asarray(observed_mask, dtype=bool).tolist()
+            for stamp, row, keep in zip(times, rows, shown, strict=True):
+                writer.writerow([stamp, *[repr(x) if k else "" for x, k in zip(row, keep)]])
 
 
 def save_mask_csv(path, mask, timestamps, node_ids):
-    mask = np.asarray(mask, dtype=bool)
+    rows = np.asarray(mask, dtype=bool).astype(np.int64).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", *node_ids])
-        for i in range(mask.shape[0]):
-            writer.writerow([_format(timestamps[i]), *(int(x) for x in mask[i])])
+        for stamp, row in zip(_reprs(timestamps), rows, strict=True):
+            writer.writerow([stamp, *row])
 
 
 def save_adjacency_csv(path, graph: Graph, node_ids):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", *node_ids])
-        for j in range(graph.n_nodes):
-            writer.writerow([node_ids[j], *(_format(x) for x in graph.adjacency[j])])
+        for node, row in zip(node_ids, graph.adjacency.tolist(), strict=True):
+            writer.writerow([node, *map(repr, row)])
 
 
 # --------------------------------------------------------------------------

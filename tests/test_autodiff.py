@@ -1,5 +1,8 @@
 """Finite-difference checks for every autodiff primitive."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,66 @@ def test_new_graph_through_a_consumed_node_raises():
     # a graph rebuilt from the leaf differentiates as before
     ad.sum_(ad.mul(ad.mul(t, 2.0), ad.mul(t, 2.0))).backward()
     np.testing.assert_array_equal(t.grad, [24.0])
+
+
+@pytest.fixture
+def no_gc():
+    """Run a test with the cycle collector off, so only refcounting frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _closure_arrays(grad_fn):
+    """The arrays a gradient function's closure holds."""
+    return [cell.cell_contents for cell in grad_fn.__closure__ or ()
+            if isinstance(cell.cell_contents, np.ndarray)]
+
+
+def test_interior_value_dies_with_its_tensor(no_gc):
+    x, w = ad.Tensor(rng.standard_normal((3, 4))), ad.Tensor(rng.standard_normal((4, 2)))
+    h = ad.matmul(x, w)
+    value = weakref.ref(h.value)
+    loss = ad.sum_(ad.add(h, np.ones((3, 2))))
+    del h
+    # the add's gradient reads only shapes, so nothing on the tape holds h
+    assert value() is None
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, np.ones((3, 2)) @ w.value.T)
+    np.testing.assert_array_equal(w.grad, x.value.T @ np.ones((3, 2)))
+
+
+def test_value_a_gradient_reads_lives_with_the_graph(no_gc):
+    x = ad.Tensor(rng.standard_normal(5))
+    y = ad.tanh(x)
+    value = weakref.ref(y.value)
+    loss = ad.sum_(ad.mul(y, 2.0))
+    expected = 2.0 * (1.0 - y.value * y.value)
+    del y
+    assert value() is not None  # tanh's gradient reads its output
+    loss.backward()
+    assert value() is None
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, b: ad.add(a, b),
+    lambda a, b: ad.sub(a, b),
+    lambda a, b: ad.reshape(a, (6,)),
+    lambda a, b: ad.sum_(a, axis=0),
+    lambda a, b: ad.index(a, (slice(None), 1)),
+], ids=["add", "sub", "reshape", "sum_", "index"])
+def test_shape_only_gradients_hold_no_operand(build):
+    a, b = ad.Tensor(rng.standard_normal((2, 3))), ad.Tensor(rng.standard_normal((2, 3)))
+    out = build(a, b)
+    assert all(_closure_arrays(fn) == [] for fn in out.node.grad_fns)
+
+
+@pytest.mark.parametrize("op", [ad.matmul, ad.mul])
+def test_each_operand_gradient_holds_only_the_other_operand(op):
+    a, b = ad.Tensor(rng.standard_normal((3, 3))), ad.Tensor(rng.standard_normal((3, 3)))
+    grad_a, grad_b = op(a, b).node.grad_fns
+    assert [id(x) for x in _closure_arrays(grad_a)] == [id(b.value)]
+    assert [id(x) for x in _closure_arrays(grad_b)] == [id(a.value)]

@@ -515,6 +515,47 @@ def test_cli_allocator_policy_ends_page_fault_churn():
     assert probe["kept"] < 200, probe
 
 
+# Linux carries a process's RSS high-water mark across exec, so a child's
+# ru_maxrss starts at the size of the process that spawned it.  The probe
+# therefore trains in a fork of itself, whose mark starts afresh, and that
+# fork prints its own exit code and ru_maxrss.
+_TRAIN_PEAK = """
+import os, resource, sys
+if os.fork() == 0:
+    from residiff.cli import main
+    code = main(sys.argv[1:])
+    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+os.wait()
+"""
+
+
+def test_train_peak_rss_at_the_acceptance_shape(tmp_path):
+    """A child process trains at 20 nodes, window 24, batch 16, d 32 and
+    reports its own peak RSS (KiB).  It read 91.0 MiB on a 2-core Xeon with
+    numpy 2.4 and OpenBLAS 0.3.31, and 119.7 MiB while the autodiff tape
+    pinned every interior value; the bound sits between the two."""
+    import residiff
+
+    ds, dsm = tmp_path / "ds", tmp_path / "dsm"
+    assert main(["synth", "--out", str(ds), "--n-nodes", "20", "--data-steps", "480",
+                 "--seed", "3"]) == 0
+    assert main(["mask", "--data", str(ds), "--out", str(dsm), "--mask-p", "0.25",
+                 "--mask-seed", "1"]) == 0
+    src = str(Path(residiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _TRAIN_PEAK, "train", "--data", str(dsm),
+         "--out", str(tmp_path / "run"), "--seed", "0", "--t-steps", "10",
+         "--n-window", "24", "--d", "32", "--head-count", "4", "--batch-size", "16",
+         "--strategy", "trainable", "--pretrain-epochs", "1", "--epochs", "1"],
+        env=env, check=True, capture_output=True, text=True, timeout=300)
+    code, peak_kib = map(int, done.stdout.split()[-2:])
+    assert code == 0
+    assert peak_kib <= 105 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
+
+
 @pytest.mark.parametrize("command", ["train", "pretrain"])
 def test_block_training_targets_exit_0(pipeline, tmp_path, command):
     _, _, dsm, _ = pipeline

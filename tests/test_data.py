@@ -23,6 +23,37 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(loaded, values)
         np.testing.assert_array_equal(lts, ts)
 
+    def test_writers_match_per_cell_repr(self, tmp_path):
+        # the row-at-a-time writers against the per-cell repr(float(x)) they
+        # replace, on the values whose repr is most easily mangled
+        values = np.array([[-0.0, 1e-300, 1e22], [np.nan, 0.1, -7.0], [2.5, -1e-5, 3.0]])
+        shown = np.array([[True, True, True], [True, False, True], [False, True, True]])
+        ts = np.array([0.0, 1.5, 1e22])
+        ids = ["a", "b", "c"]
+
+        def expected(first, cells):
+            rows = [",".join(["time" if first is None else first, *ids])]
+            rows += [",".join(row) for row in cells]
+            return ("\r\n".join(rows) + "\r\n").encode()
+
+        def per_cell(grid, keep=None):
+            return [[repr(float(ts[i])),
+                     *("" if keep is not None and not keep[i, j] else repr(float(x))
+                       for j, x in enumerate(grid[i]))]
+                    for i in range(len(ts))]
+
+        dt.save_values_csv(tmp_path / "all.csv", values, ts, ids)
+        assert (tmp_path / "all.csv").read_bytes() == expected(None, per_cell(values))
+        dt.save_values_csv(tmp_path / "shown.csv", values, ts, ids, shown)
+        assert (tmp_path / "shown.csv").read_bytes() == expected(None, per_cell(values, shown))
+        dt.save_mask_csv(tmp_path / "mask.csv", shown, ts, ids)
+        assert (tmp_path / "mask.csv").read_bytes() == expected(
+            None, [[repr(float(ts[i])), *(str(int(x)) for x in shown[i])] for i in range(3)])
+        graph = dt.Graph(np.array([[-0.0, 1e-300, 1e22], [1e-300, 0.0, 0.1], [1e22, 0.1, -0.0]]))
+        dt.save_adjacency_csv(tmp_path / "adjacency.csv", graph, ids)
+        assert (tmp_path / "adjacency.csv").read_bytes() == expected(
+            "node", [[ids[j], *(repr(float(x)) for x in graph.adjacency[j])] for j in range(3)])
+
     def test_full_dataset_round_trip(self, tmp_dataset):
         tmp_path, grid, graph = tmp_dataset
         grid = dt.mask_point(grid, 0.3, seed=1)

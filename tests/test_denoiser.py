@@ -218,37 +218,56 @@ def test_step_out_of_range_and_node_mismatch(small):
                 rng.standard_normal((1, 4, 5)), 1)
 
 
-def _interior_values(root):
-    """Weak references to the value of every interior node below ``root``."""
-    refs, seen, stack = [], {id(root)}, list(root._parents)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
+def _captured_arrays(root, held):
+    """Weak references to every array that a gradient function of an
+    interior node below ``root`` captured, other than those in ``held``.
+
+    Closures are followed into the functions, dicts, lists and tuples they
+    hold, as ``ad.attention``'s three gradient functions share one cache.
+    """
+    held = {id(x) for x in held}
+    refs, nodes, seen = [], [root.node], set()
+    while nodes:
+        node = nodes.pop()
+        if id(node) in seen or not node.parents:
             continue
         seen.add(id(node))
-        if node._parents:
-            refs.append(weakref.ref(node.value))
-            stack.extend(node._parents)
+        nodes.extend(node.parents)
+        stack = list(node.grad_fns)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if id(obj) not in held:
+                    refs.append(weakref.ref(obj))
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                stack.extend(cell.cell_contents for cell in obj.__closure__)
     return refs
 
 
 def test_backward_frees_every_interior_node(small):
-    # Tensors take no weak references, so each interior node is watched
-    # through its value, which dies only with the node and the gradient
-    # functions that captured it.  Refcounting alone must free them.
+    # Interior nodes hold no values; what an interior node keeps alive is
+    # what its gradient functions captured.  Apart from the leaves' values
+    # and the inputs the caller holds, refcounting alone must free all of it.
     cfg, params, adj, rng = small
     z, c, eps = (rng.standard_normal((2, 4, 3)) for _ in range(3))
     mask = rng.random((2, 4, 3)) < 0.6
     mask[0, 0, 0] = True
     leaves = ad.leaves(params)
     loss = noise_loss(cfg, adj, z, c, np.array([2, 5]), eps, mask)(leaves)
-    interior = _interior_values(loss)
-    assert len(interior) > 50
+    captured = _captured_arrays(loss, [*params.values(), z, c, eps, mask, adj])
+    assert len(captured) > 20
     enabled = gc.isenabled()
     gc.disable()
     try:
         loss.backward()
-        alive = sum(ref() is not None for ref in interior)
+        alive = sum(ref() is not None for ref in captured)
     finally:
         if enabled:
             gc.enable()
@@ -259,9 +278,10 @@ def test_backward_frees_every_interior_node(small):
 def test_two_training_steps_hold_one_graph_at_a_time():
     # Two taped steps at 20 nodes x batch 16 x window 24, d 32, keeping the
     # first step's loss and gradients alive as the training loop does until
-    # it reassigns them.  With the tape freed as backward walks it the peak
-    # is about 76 MiB; when backward left the first graph and its interior
-    # gradients alive, it was 219.5 MiB.
+    # it reassigns them.  With a value-free tape whose gradient functions
+    # keep only what they read, the peak is about 47 MiB.  It was 76 MiB
+    # when the tape pinned every interior value, and 219.5 MiB when backward
+    # also left the first graph and its interior gradients alive.
     cfg = dn.DenoiserConfig(n_window=24, n_nodes=20, n_steps=50, d=32, head_count=4)
     rng = np.random.default_rng(0)
     params = dn.init_params(cfg, rng)
@@ -281,4 +301,4 @@ def test_two_training_steps_hold_one_graph_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
