@@ -44,7 +44,6 @@ __all__ = [
     "absolute",
     "tanh",
     "matmul",
-    "einsum2",
     "softmax",
     "attention",
     "sum_",
@@ -234,21 +233,6 @@ def matmul(a, b):
     return _node(av @ bv, (a, b),
                  (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), sa),
                   lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, sb)))
-
-
-def einsum2(spec: str, a, b):
-    """Two-operand einsum.
-
-    Gradients use the standard index-swap rule, valid because every operand
-    index used here also appears in the output or the other operand.
-    """
-    av, bv = value_of(a), value_of(b)
-    lhs, out_spec = spec.split("->")
-    a_spec, b_spec = lhs.split(",")
-    return _node(
-        np.einsum(spec, av, bv, optimize=True), (a, b),
-        (lambda g: np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, bv, optimize=True),
-         lambda g: np.einsum(f"{a_spec},{out_spec}->{b_spec}", av, g, optimize=True)))
 
 
 def softmax(a, axis: int = -1):

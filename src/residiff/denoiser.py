@@ -37,6 +37,22 @@ __all__ = [
     "masked_mse",
 ]
 
+# Budget for one attention score tensor per denoiser call: one core's L2
+# cache (2 MiB on a 2-core Xeon).  It bounds both the working set of each op,
+# whose operands then stay in cache (at 20 nodes, 100-window calls took 1.75x
+# the time per window of 5-window calls), and the memory a call holds at any
+# node count.
+_SCORE_BYTES = 2 * 2**20
+
+
+def _windows_per_call(n_nodes: int, n_window: int, head_count: int) -> int:
+    """Windows per denoiser call that keep the larger score tensor, temporal
+    (N, h, L, L) or spatial (L, h, N, N) per window, within _SCORE_BYTES;
+    never fewer than one.  The sampler and the trainer both split their
+    window batches by it."""
+    per_window = 8 * head_count * n_window * n_nodes * max(n_window, n_nodes)
+    return max(1, _SCORE_BYTES // per_window)
+
 
 @dataclass(frozen=True)
 class DenoiserConfig:
@@ -169,13 +185,24 @@ def forward(p, config: DenoiserConfig, z_t, z0c, t, a_hat: np.ndarray, time_inde
     gz = ad.matmul(ad.matmul(a_hat, z), p["graph_weight"])
     z = ad.add(z, ad.tanh(gz))
     z = ad.add(z, _attention(z, p, "spa", config.head_count))
-    return ad.einsum2("blnd,d->bln", z, p["head"])
+    # one matrix-vector product per window, so that a window's output does
+    # not depend on the other windows in its call; BLAS sends the last
+    # ``rows mod 4`` rows of a product through another kernel
+    head = ad.reshape(p["head"], (d, 1))
+    out = ad.matmul(ad.reshape(z, (b, l * n, d)), head)
+    return ad.reshape(out, (b, l, n))
 
 
-def masked_mse(pred, target: np.ndarray, target_mask: np.ndarray):
-    """Mean over target cells of (target - pred)^2; error on an empty mask."""
+def masked_mse(pred, target: np.ndarray, target_mask: np.ndarray, count=None):
+    """Sum over target cells of (target - pred)^2, divided by ``count``.
+
+    ``count`` defaults to the number of target cells, which makes this the
+    mean; a batch run in parts passes each part the whole batch's count, so
+    the parts' losses add up to the batch's mean.  A zero count is an error.
+    """
     mask = np.asarray(target_mask, dtype=np.float64)
-    count = mask.sum()
+    if count is None:
+        count = mask.sum()
     if count == 0:
         raise ValueError("empty target mask: mean squared error undefined")
     diff = ad.sub(target, pred)

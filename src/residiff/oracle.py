@@ -30,6 +30,7 @@ __all__ = [
     "accel_substep_sigma",
     "sampler_pushforward_coeffs",
     "finite_diff_check",
+    "einsum2",
     "trainable_fill_reference",
     "attention_reference",
     "ddpm_q_sample",
@@ -232,6 +233,21 @@ def finite_diff_check(loss_fn, params: dict, step: float = 1e-3) -> dict:
     return {"max_rel_err": worst, "per_tensor": report, "loss": float(loss.value)}
 
 
+def einsum2(spec: str, a, b):
+    """Two-operand einsum as a tape op, for the unrolled fill reference.
+
+    Gradients use the standard index-swap rule, valid because every operand
+    index used here also appears in the output or the other operand.
+    """
+    av, bv = ad.value_of(a), ad.value_of(b)
+    lhs, out_spec = spec.split("->")
+    a_spec, b_spec = lhs.split(",")
+    return ad._node(
+        np.einsum(spec, av, bv, optimize=True), (a, b),
+        (lambda g: np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, bv, optimize=True),
+         lambda g: np.einsum(f"{a_spec},{out_spec}->{b_spec}", av, g, optimize=True)))
+
+
 def trainable_fill_reference(p, values, visible, mix):
     """The trainable rough fill unrolled op by op on the tape.
 
@@ -251,9 +267,9 @@ def trainable_fill_reference(p, values, visible, mix):
         h = np.zeros((b, n, ad.value_of(W_h).shape[0]))
         stacked = None
         for i in order:
-            hop = ad.einsum2("mn,bnh->bmh", mix, h)
+            hop = einsum2("mn,bnh->bmh", mix, h)
             pred = ad.add(
-                ad.add(ad.einsum2("bnh,h->bn", h, w_p), ad.einsum2("bnh,h->bn", hop, w_q)),
+                ad.add(einsum2("bnh,h->bn", h, w_p), einsum2("bnh,h->bn", hop, w_q)),
                 b_p,
             )
             placed = ad.pad(ad.reshape(pred, (b, 1, n)), ((0, 0), (i, L - 1 - i), (0, 0)))

@@ -20,16 +20,13 @@ from the terminal state before combining the residual with the rough fill.
 
 The series is cut once into whole windows plus at most one shorter tail; a
 reshape turns each part of the chain state into a window batch for the
-denoiser.  Each call takes ``_windows_per_call`` windows, as many as keep one
-attention score tensor within a core's L2 cache (with 24-step windows and 4
-heads: 5 windows at 20 nodes, one from 50 nodes up), so each op's operands
+denoiser.  Each call takes ``dn._windows_per_call`` windows, as many as keep
+one attention score tensor within a core's L2 cache (with 24-step windows and
+4 heads: 5 windows at 20 nodes, one from 50 nodes up), so each op's operands
 stay in cache and a call's memory stays bounded at any graph size.  Each
 sample chain owns an RNG stream derived from (root seed, sample index), and a
-window's prediction does not depend on its batch when the window holds a
-multiple of 4 cells, as every 24-step window does; then results do not
-depend on how windows split into calls.  (Otherwise the output head's
-BLAS matrix-vector product can move the last bits of a window's last cells,
-depending on where the window sits in its call.)  Non-visible cells are
+window's prediction does not depend on the other windows in its call, so
+results do not depend on how windows split into calls.  Non-visible cells are
 initialized from standard normal noise on target cells only; visible cells
 pass through untouched in every sample.  The chain state is checked once per
 reverse step; a non-finite one raises ``NumericError`` naming the step.
@@ -148,20 +145,6 @@ def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
 
 
 Q_LEVELS = (0.05, 0.95)  # the quantile band every imputation reports
-# Budget for one attention score tensor per denoiser call: one core's L2
-# cache (2 MiB on a 2-core Xeon).  It bounds both the working set of each op,
-# whose operands then stay in cache (at 20 nodes, 100-window calls took 1.75x
-# the time per window of 5-window calls), and the memory a call holds at any
-# node count.
-_SCORE_BYTES = 2 * 2**20
-
-
-def _windows_per_call(n_nodes: int, n_window: int, head_count: int) -> int:
-    """Windows per denoiser call that keep the larger score tensor, temporal
-    (N, h, L, L) or spatial (L, h, N, N) per window, within _SCORE_BYTES;
-    never fewer than one."""
-    per_window = 8 * head_count * n_window * n_nodes * max(n_window, n_nodes)
-    return max(1, _SCORE_BYTES // per_window)
 
 
 @dataclass
@@ -214,7 +197,7 @@ class _SamplerSetup:
         # is each window's phase
         cut = L - L % n_window
         self.parts = [(slice(lo, hi), self.z0c_chain[lo:hi].reshape(-1, length, n_nodes),
-                       _windows_per_call(n_nodes, length, self.config.head_count))
+                       dn._windows_per_call(n_nodes, length, self.config.head_count))
                       for lo, hi, length in ((0, cut, n_window), (cut, L, L - cut))
                       if hi > lo]
 

@@ -12,10 +12,22 @@ a diffusion step and noise are drawn, and one Adam step is taken on
 
 with L_simple the masked mean squared noise error and L_init the rough-fill
 error.  Gradients flow into the fill through the residual, the condition,
-and L_init unless it is frozen.  The fill's state is a plain dict of arrays
-(empty unless the strategy is trainable); its strategy and width are read
-only from the config.  Everything is driven by one explicit RNG, so a fixed
-config and seed reproduce checkpoints bit-exactly.
+and L_init unless it is frozen.
+
+The fill runs once per batch and stays one tape node.  The denoiser runs
+over the batch in calls of ``dn._windows_per_call`` windows, the sampler's
+call size, so a step's memory follows the call, not the batch.  Each call is
+taped from fresh leaves, with its windows' slice of the fill output as a
+leaf, and differentiated at once: its loss is its share of L_simple (its
+squared error over the batch's target count), its denoiser gradients add up
+over the calls, and its gradient on the fill slice is kept.  One backward
+through the fill then carries those kept gradients and lambda * L_init into
+the fill's parameters, and one Adam step follows.
+
+The fill's state is a plain dict of arrays (empty unless the strategy is
+trainable); its strategy and width are read only from the config.
+Everything is driven by one explicit RNG, so a fixed config and seed
+reproduce checkpoints bit-exactly.
 
 Ablation flags:
   no_cond_forward    condition zeroed in the forward marginal and samplers
@@ -122,6 +134,9 @@ class TrainConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"expected one of {', '.join(allowed)}")
+        # the denoiser's own shape checks, here so that a bad shape fails
+        # before any training; they do not involve the node count
+        self.denoiser_config(n_nodes=1)
 
     @property
     def residual_sign(self) -> float:
@@ -283,11 +298,6 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     return params, losses
 
 
-def _group(arrays: dict, prefix: str) -> dict:
-    """The entries named ``prefix/<name>``, keyed by ``<name>``."""
-    return {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith(prefix + "/")}
-
-
 def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
                 rng: np.random.Generator | None = None) -> TrainResult:
     """Run the full two-stage training loop and return a checkpoint."""
@@ -310,6 +320,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     dcfg = config.denoiser_config(grid.shape[1])
     dparams = dn.init_params(dcfg, rng)
     a_hat = dn.normalized_adjacency(graph.adjacency)
+    per_call = dn._windows_per_call(dcfg.n_nodes, dcfg.n_window, dcfg.head_count)
 
     train_initial = bool(initial) and not config.freeze_initial
     opt_params = {f"denoiser/{n}": arr for n, arr in dparams.items()}
@@ -321,34 +332,48 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     batches = _batches(grid_n, config, config.epochs, rng,
                        in_sample=config.mask_mode == "in_sample")
     for step, (values, cond_vis, target, phase) in enumerate(batches):
-        leaves = ad.leaves(opt_params)
-        x_init = ini.impute_initial(values, cond_vis, graph, config.strategy,
-                                    _group(leaves, "initial") if train_initial else initial)
-        z0m, z0c = ini.residual_and_condition(
-            x_init, values, target, sign=config.residual_sign,
-            no_residual=config.no_residual)
-        z0c_fwd = np.zeros_like(values) if config.no_cond_forward else z0c
-
+        fill = ad.leaves(initial) if train_initial else initial
+        x_init = ini.impute_initial(values, cond_vis, graph, config.strategy, fill)
         t_draw = rng.integers(1, config.t_steps + 1, size=len(values))
         eps = rng.standard_normal(values.shape)
-        z_t = q_sample(z0m, z0c_fwd, t_draw, eps, sched, target)
+        count = target.sum()
 
-        net_out = dn.forward(_group(leaves, "denoiser"), dcfg, z_t, z0c, t_draw, a_hat, phase)
-        if config.predict_x0:
-            loss_simple = dn.masked_mse(net_out, z0m, target)
-        else:
-            loss_simple = dn.masked_mse(net_out, eps, target)
+        ls, grads, d_x = 0.0, {}, np.empty_like(values)
+        for win in (slice(lo, lo + per_call) for lo in range(0, len(values), per_call)):
+            x_win = ad.value_of(x_init)[win]
+            if train_initial:
+                x_win = ad.Tensor(x_win)
+            z0m, z0c = ini.residual_and_condition(
+                x_win, values[win], target[win], sign=config.residual_sign,
+                no_residual=config.no_residual)
+            z0c_fwd = np.zeros_like(values[win]) if config.no_cond_forward else z0c
+            z_t = q_sample(z0m, z0c_fwd, t_draw[win], eps[win], sched, target[win])
+            leaves = ad.leaves(dparams)
+            net_out = dn.forward(leaves, dcfg, z_t, z0c, t_draw[win], a_hat, phase[win])
+            loss = dn.masked_mse(net_out, z0m if config.predict_x0 else eps[win],
+                                 target[win], count)
+            ls += float(loss.value)
+            if not math.isfinite(ls):
+                break  # no backward and no Adam step on a non-finite loss
+            loss.backward()
+            for n, g in ad.grads(leaves).items():
+                key = f"denoiser/{n}"
+                grads[key] = grads[key] + g if key in grads else g
+            if train_initial:
+                d_x[win] = x_win.grad
+
         loss_init = ini.init_loss(x_init, values, target, config.init_norm)
-        loss_joint = ad.add(loss_simple, ad.mul(loss_init, config.lam))
-
-        ls = float(loss_simple.value)
         li = float(ad.value_of(loss_init))
-        lj = float(loss_joint.value)
+        lj = ls + config.lam * li
         if not np.isfinite(lj):
             raise NumericError(f"non-finite joint loss at step {step}: "
                                f"simple={ls} init={li}")
-        loss_joint.backward()
-        adam.step(opt_params, ad.grads(leaves))
+        if train_initial:
+            # one backward through the fill: the first term's gradient with
+            # respect to x_init is exactly d_x, the denoiser losses' gradient
+            ad.add(ad.sum_(ad.mul(x_init, d_x)), ad.mul(loss_init, config.lam)).backward()
+            grads.update({f"initial/{n}": g for n, g in ad.grads(fill).items()})
+        adam.step(opt_params, grads)
         log.append((step, ls, li, lj))
 
     ckpt = Checkpoint(denoiser=dparams, initial=initial, stats=stats, config=config)

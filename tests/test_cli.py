@@ -530,16 +530,15 @@ os.wait()
 """
 
 
-def test_train_peak_rss_at_the_acceptance_shape(tmp_path):
-    """A child process trains at 20 nodes, window 24, batch 16, d 32 and
-    reports its own peak RSS (KiB).  It read 91.0 MiB on a 2-core Xeon with
-    numpy 2.4 and OpenBLAS 0.3.31, and 119.7 MiB while the autodiff tape
-    pinned every interior value; the bound sits between the two."""
+def _train_peak_kib(tmp_path, n_nodes: int, *flags) -> int:
+    """Synthesize and mask 480 steps at ``n_nodes``, train on them in a
+    child at window 24, batch 16, d 32, 4 heads, T 10, 1 epoch, and return
+    the child's own peak RSS in KiB."""
     import residiff
 
     ds, dsm = tmp_path / "ds", tmp_path / "dsm"
-    assert main(["synth", "--out", str(ds), "--n-nodes", "20", "--data-steps", "480",
-                 "--seed", "3"]) == 0
+    assert main(["synth", "--out", str(ds), "--n-nodes", str(n_nodes),
+                 "--data-steps", "480", "--seed", "3"]) == 0
     assert main(["mask", "--data", str(ds), "--out", str(dsm), "--mask-p", "0.25",
                  "--mask-seed", "1"]) == 0
     src = str(Path(residiff.__file__).resolve().parents[1])
@@ -549,11 +548,51 @@ def test_train_peak_rss_at_the_acceptance_shape(tmp_path):
         [sys.executable, "-c", _TRAIN_PEAK, "train", "--data", str(dsm),
          "--out", str(tmp_path / "run"), "--seed", "0", "--t-steps", "10",
          "--n-window", "24", "--d", "32", "--head-count", "4", "--batch-size", "16",
-         "--strategy", "trainable", "--pretrain-epochs", "1", "--epochs", "1"],
+         "--epochs", "1", *flags],
         env=env, check=True, capture_output=True, text=True, timeout=300)
     code, peak_kib = map(int, done.stdout.split()[-2:])
     assert code == 0
-    assert peak_kib <= 105 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
+    return peak_kib
+
+
+def test_train_peak_rss_at_the_acceptance_shape(tmp_path):
+    """A child process trains the trainable fill and the denoiser at 20
+    nodes and reports its own peak RSS.  It read 56.0 MiB on a 2-core Xeon
+    with numpy 2.4 and OpenBLAS 0.3.31 with each batch sent through the
+    denoiser in cache-sized calls, 91.1 MiB with the whole batch in one
+    call, and 119.7 MiB while the autodiff tape pinned every interior
+    value; the bound sits between the first two."""
+    peak_kib = _train_peak_kib(tmp_path, 20, "--strategy", "trainable",
+                               "--pretrain-epochs", "1")
+    assert peak_kib <= 72 * 2**10, f"peak RSS {peak_kib / 2**10:.1f} MiB"
+
+
+def test_train_peak_rss_at_207_nodes(tmp_path):
+    """METR-LA's sensor count.  One window per denoiser call: the child read
+    192-193 MiB on the same box, and 1,944 MiB with each batch of 16
+    windows taped through the denoiser in one call."""
+    peak_kib = _train_peak_kib(tmp_path, 207)
+    assert peak_kib <= 256 * 2**10, f"peak RSS {peak_kib / 2**10:.1f} MiB"
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+@pytest.mark.parametrize("flags", [("--d", "30", "--head-count", "4"),
+                                   ("--conv-width", "4")])
+def test_bad_denoiser_shape_exits_2_before_pretraining(pipeline, tmp_path, capsys,
+                                                       monkeypatch, command, flags):
+    from residiff import cli
+    from residiff import trainer as tr
+
+    _, _, dsm, _ = pipeline
+    ran = []
+    for module in (cli, tr):
+        monkeypatch.setattr(module, "pretrain_initial", lambda *a: ran.append(a))
+    out = tmp_path / "run"
+    assert main([command, "--data", str(dsm), "--out", str(out), *FAST_TRAIN,
+                 "--strategy", "trainable", "--pretrain-epochs", "30", *flags]) == 2
+    _one_line_error(capsys, "config error:")
+    assert ran == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "pretrain"])

@@ -72,6 +72,23 @@ def test_determinism_bit_identical(small):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("b,n", [(9, 3), (9, 7), (9, 13), (2, 207)])
+def test_window_output_does_not_depend_on_its_call(b, n):
+    # 14-step tails of 24-step windows: 42, 98, 182 and 2,898 cells, none a
+    # multiple of 4, where one matrix-vector product over the whole call
+    # moved the last bits of a window's last cells
+    cfg = dn.DenoiserConfig(n_window=24, n_nodes=n, n_steps=5, d=32, head_count=4)
+    rng = np.random.default_rng(n)
+    params = dn.init_params(cfg, rng)
+    a_hat = dn.normalized_adjacency(rng.random((n, n)))
+    z, c = rng.standard_normal((2, b, 14, n))
+    t = rng.integers(1, 6, size=b)
+    one_call = dn.forward(params, cfg, z, c, t, a_hat)
+    per_window = [dn.forward(params, cfg, z[i:i + 1], c[i:i + 1], t[i:i + 1], a_hat)
+                  for i in range(b)]
+    np.testing.assert_array_equal(one_call, np.concatenate(per_window))
+
+
 def test_attention_rows_sum_to_one(small, monkeypatch):
     cfg, params, adj, rng = small
     captured = []

@@ -218,7 +218,7 @@ def test_seeded_determinism_independent_of_chunking(tiny_run, wide_run, monkeypa
     defaults = [run().samples for run in runs]
     # 10**6: every window of a part in one call, as a 48 MiB budget sent them
     for per_call in (1, 3, 10**6):
-        monkeypatch.setattr(sp, "_windows_per_call", lambda *_, k=per_call: k)
+        monkeypatch.setattr(sp.dn, "_windows_per_call", lambda *_, k=per_call: k)
         for run, samples in zip(runs, defaults):
             np.testing.assert_array_equal(run().samples, samples)
 
@@ -228,7 +228,7 @@ def test_each_window_is_predicted_once_within_the_bound(tiny_run, monkeypatch):
     L = 110  # four whole 24-step windows and a 14-step tail
     part = dt.MaskedGrid(grid.values[:L], grid.observed_mask[:L],
                          grid.eval_mask[:L], grid.timestamps[:L])
-    monkeypatch.setattr(sp, "_windows_per_call", lambda *_: 3)
+    monkeypatch.setattr(sp.dn, "_windows_per_call", lambda *_: 3)
     batches = []
 
     def spy(p, config, z_t, z0c, t, a_hat):
@@ -252,7 +252,7 @@ def test_each_window_is_predicted_once_within_the_bound(tiny_run, monkeypatch):
 def test_windows_per_call_follows_the_node_count():
     # 24-step windows and 4 heads, up to the benchmark's 20 nodes and a
     # 325-sensor graph: one score tensor per call stays within 2 MiB
-    counts = {n: sp._windows_per_call(n, 24, 4) for n in (8, 20, 50, 100, 325)}
+    counts = {n: sp.dn._windows_per_call(n, 24, 4) for n in (8, 20, 50, 100, 325)}
     assert counts == {8: 14, 20: 5, 50: 1, 100: 1, 325: 1}
 
 

@@ -500,3 +500,65 @@ def test_denoiser_config_follows_the_train_config():
     cfg = tr.TrainConfig(t_steps=7, n_window=12, d=8, head_count=2, conv_width=5)
     assert cfg.denoiser_config(3) == dn.DenoiserConfig(
         n_window=12, n_nodes=3, n_steps=7, d=8, conv_width=5, head_count=2)
+
+
+def _twenty_node_grid(windows: int):
+    grid, graph = dt.synth_generate(1, 20, 24 * windows, dt.SynthParams())
+    return dt.mask_point(grid, 0.25, seed=1), graph
+
+
+def test_joint_step_sends_each_window_once_within_the_call_size(monkeypatch):
+    # 20 windows of 24 x 20 at 4 heads: batches of 16 and 4, and calls of at
+    # most 5 windows
+    grid, graph = _twenty_node_grid(20)
+    cfg = tr.TrainConfig(t_steps=4, epochs=1, batch_size=16, n_window=24, d=8,
+                         head_count=4, seed=2)
+    per_call = dn._windows_per_call(20, 24, 4)
+    assert per_call == 5
+    batches, events = [], []
+    make_batches, forward, step = tr._batches, dn.forward, tr.Adam.step
+
+    def record_batches(*args, **kwargs):
+        for batch in make_batches(*args, **kwargs):
+            batches.append(batch)
+            yield batch
+
+    def record_forward(p, config, z_t, z0c, t, a_hat, time_index):
+        events.append((ad.value_of(z0c), time_index))
+        return forward(p, config, z_t, z0c, t, a_hat, time_index)
+
+    monkeypatch.setattr(tr, "_batches", record_batches)
+    monkeypatch.setattr(dn, "forward", record_forward)
+    monkeypatch.setattr(tr.Adam, "step", lambda *a: events.append(None) or step(*a))
+    tr.train_joint(grid, graph, cfg)
+
+    assert [len(b[0]) for b in batches] == [16, 4]
+    calls = iter(events)
+    for values, cond_vis, target, phase in batches:
+        seen = list(iter(calls.__next__, None))  # the calls before this Adam step
+        assert all(len(z0c) <= per_call for z0c, _ in seen)
+        # each window of the batch once, in order, with its own condition
+        x_init = ini.impute_initial(values, cond_vis, graph, cfg.strategy, {})
+        np.testing.assert_array_equal(np.concatenate([z0c for z0c, _ in seen]),
+                                      x_init * target)
+        np.testing.assert_array_equal(np.concatenate([ti for _, ti in seen]), phase)
+    assert next(calls, "end") == "end"
+
+
+def test_call_size_moves_denoiser_bits_only(monkeypatch):
+    # One joint step of 16 windows at 20 nodes, in calls of 5, 5, 5 and 1
+    # windows and in one call.  Per-window values and input gradients do not
+    # depend on the split, so the fill trains to the same bytes; the
+    # denoiser's weight gradients sum over the windows in another order.
+    grid, graph = _twenty_node_grid(16)
+    cfg = tr.TrainConfig(t_steps=10, epochs=1, batch_size=16, n_window=24, d=32,
+                         head_count=4, strategy="trainable", pretrain_epochs=1, seed=0)
+    split = tr.train_joint(grid, graph, cfg)
+    monkeypatch.setattr(dn, "_windows_per_call", lambda *_: 10**6)
+    whole = tr.train_joint(grid, graph, cfg)
+    assert len(split.log) == len(whole.log) == 1
+    for name, arr in whole.checkpoint.initial.items():
+        np.testing.assert_array_equal(split.checkpoint.initial[name], arr, err_msg=name)
+    for name, arr in whole.checkpoint.denoiser.items():
+        np.testing.assert_allclose(split.checkpoint.denoiser[name], arr, rtol=1e-12,
+                                   atol=0, err_msg=name)
