@@ -87,7 +87,7 @@ def _coerce(name: str, raw: str, kind):
 
 
 def resolve_config(args: argparse.Namespace, overrides: list[str]) -> RunConfig:
-    field_types = {f.name: f.type for f in fields(RunConfig)}
+    field_types = {f.name: type(f.default) for f in fields(RunConfig)}
     base: dict = {}
     if args.config:
         try:
@@ -100,8 +100,9 @@ def resolve_config(args: argparse.Namespace, overrides: list[str]) -> RunConfig:
         unknown = set(base) - set(field_types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(**base)
 
+    # every override is coerced first and the config is built once, so
+    # that its cross-field checks only ever see the final values
     pairs = []
     i = 0
     while i < len(overrides):
@@ -117,28 +118,16 @@ def resolve_config(args: argparse.Namespace, overrides: list[str]) -> RunConfig:
             for flag in filter(None, raw.split(",")):
                 if flag not in _ABLATION_FLAGS:
                     raise ConfigError(f"unknown ablation flag {flag!r}")
-                cfg = replace(cfg, **{flag: True})
+                base[flag] = True
             continue
         if name not in field_types:
             raise ConfigError(f"unknown config key {name!r}")
-        kind = _FIELD_PY_TYPES[name]
-        cfg = replace(cfg, **{name: _coerce(name, raw, kind)})
-    return cfg
+        base[name] = _coerce(name, raw, field_types[name])
+    return RunConfig(**base)
 
 
-_ABLATION_FLAGS = (
-    "no_cond_forward",
-    "no_residual",
-    "freeze_initial",
-    "skip_pretrain",
-    "predict_x0",
-    "flip_residual_sign",
-)
-
-_FIELD_PY_TYPES = {
-    f.name: (type(f.default) if f.default is not None else str)
-    for f in fields(RunConfig)
-}
+# TrainConfig's bool fields are its ablation flags
+_ABLATION_FLAGS = tuple(f.name for f in fields(TrainConfig) if isinstance(f.default, bool))
 
 
 class _OutputDir:
@@ -270,10 +259,6 @@ def _cmd_train(cfg: RunConfig, out: _OutputDir) -> int:
     return 0
 
 
-def _write_grid_csv(path: Path, values, grid: dt.MaskedGrid):
-    dt.save_values_csv(path, values, grid.timestamps, grid.node_ids)
-
-
 def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
     if not cfg.checkpoint:
         raise ConfigError("--checkpoint path is required")
@@ -294,17 +279,16 @@ def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
         step_count = cfg.accelerate_steps
     else:
         raise ConfigError(f"unknown sampler {cfg.sampler!r}")
-    _write_grid_csv(out.file("median.csv"), result.median, grid)
-    _write_grid_csv(out.file("q05.csv"), result.q_low, grid)
-    _write_grid_csv(out.file("q95.csv"), result.q_high, grid)
+    outputs = {"median": result.median, "q05": result.q_low, "q95": result.q_high}
     if cfg.write_samples:
-        for s in range(result.samples.shape[0]):
-            _write_grid_csv(out.file(f"sample_{s:03d}.csv"), result.samples[s], grid)
+        outputs.update({f"sample_{s:03d}": sample for s, sample in enumerate(result.samples)})
+    for name, values in outputs.items():
+        dt.save_values_csv(out.file(f"{name}.csv"), values, grid.timestamps, grid.node_ids)
     summary = {
         "sampler": cfg.sampler,
         "samples": cfg.samples,
         "step_count": step_count,
-        "quantile_levels": list(result.q_levels),
+        "quantile_levels": list(sp.Q_LEVELS),
         "seed": cfg.seed,
         "metrics": result.metrics,
     }
@@ -360,28 +344,30 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputDir) -> int:
     grids = [("t_steps", _sweep_list("sweep-t", cfg.sweep_t, int)),
              ("lam", _sweep_list("sweep-lam", cfg.sweep_lam, float)),
              ("accelerate_steps", _sweep_list("sweep-k", cfg.sweep_k, int))]
-    sp.check_sampling(cfg.samples, cfg.eta)  # before the first model trains
+    # the sampling options, then every grid point's config and substep
+    # count, so that a bad value fails before the first model trains
+    sp.check_sampling(cfg.samples, cfg.eta)
+    base = {"t_steps": cfg.t_steps, "lam": cfg.lam,
+            "accelerate_steps": cfg.accelerate_steps}
+    points = []
+    for name, values in grids:
+        for value in values:
+            point = {**base, name: value}
+            tcfg = replace(_train_config(cfg), t_steps=point["t_steps"], lam=point["lam"])
+            k = min(point["accelerate_steps"], tcfg.t_steps)
+            sp.substep_schedule(tcfg.t_steps, k)
+            points.append((name, value, tcfg, k))
     params = dt.SynthParams(steps_per_day=cfg.steps_per_day)
     grid, graph = dt.synth_generate(cfg.seed, cfg.n_nodes, cfg.data_steps, params)
     grid = dt.mask_point(grid, cfg.mask_p, cfg.mask_seed)
 
-    def run(t_steps, lam, accelerate_steps):
-        tcfg = replace(_train_config(cfg), t_steps=t_steps, lam=lam)
-        result = train_joint(grid, graph, tcfg)
-        rng = np.random.default_rng(cfg.seed)
-        res = sp.accelerated_impute(result.checkpoint, grid, graph,
-                                    min(accelerate_steps, t_steps), cfg.samples,
-                                    rng, cfg.eta)
-        return res.metrics
-
-    base = {"t_steps": cfg.t_steps, "lam": cfg.lam,
-            "accelerate_steps": cfg.accelerate_steps}
-    rows = [(name, value, run(**{**base, name: value}))
-            for name, values in grids for value in values]
     with open(out.file("sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "mae", "mse", "mre"])
-        for name, value, m in rows:
+        for name, value, tcfg, k in points:
+            result = train_joint(grid, graph, tcfg)
+            m = sp.accelerated_impute(result.checkpoint, grid, graph, k, cfg.samples,
+                                      np.random.default_rng(cfg.seed), cfg.eta).metrics
             writer.writerow([name, value, m["mae"], m["mse"], m["mre"]])
     return 0
 

@@ -64,10 +64,6 @@ class Graph:
             raise DataError("adjacency diagonal must be zero")
         self.adjacency = a
 
-    @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
-
 
 @dataclass
 class MaskedGrid:
@@ -213,40 +209,37 @@ def _load_mask(path, shape) -> np.ndarray:
     return mask != 0.0
 
 
+def _write_table(path, corner: str, columns, labels, rows):
+    """A header row ``corner, *columns``, then each label and its row's cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([corner, *columns])
+        writer.writerows([label, *row] for label, row in zip(labels, rows, strict=True))
+
+
 def save_values_csv(path, values, timestamps, node_ids, observed_mask=None):
     """Write a values table; unobserved cells become empty fields.
 
     Floats are written with repr so a load/save round trip is bit exact.
     """
-    times = _reprs(timestamps)
     rows = np.asarray(values, dtype=np.float64).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *node_ids])
-        if observed_mask is None:
-            for stamp, row in zip(times, rows, strict=True):
-                writer.writerow([stamp, *map(repr, row)])
-        else:
-            shown = np.asarray(observed_mask, dtype=bool).tolist()
-            for stamp, row, keep in zip(times, rows, shown, strict=True):
-                writer.writerow([stamp, *[repr(x) if k else "" for x, k in zip(row, keep)]])
+    if observed_mask is None:
+        cells = (map(repr, row) for row in rows)
+    else:
+        shown = np.asarray(observed_mask, dtype=bool).tolist()
+        cells = ([repr(x) if k else "" for x, k in zip(row, keep)]
+                 for row, keep in zip(rows, shown, strict=True))
+    _write_table(path, "time", node_ids, _reprs(timestamps), cells)
 
 
 def save_mask_csv(path, mask, timestamps, node_ids):
     rows = np.asarray(mask, dtype=bool).astype(np.int64).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *node_ids])
-        for stamp, row in zip(_reprs(timestamps), rows, strict=True):
-            writer.writerow([stamp, *row])
+    _write_table(path, "time", node_ids, _reprs(timestamps), rows)
 
 
 def save_adjacency_csv(path, graph: Graph, node_ids):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", *node_ids])
-        for node, row in zip(node_ids, graph.adjacency.tolist(), strict=True):
-            writer.writerow([node, *map(repr, row)])
+    rows = (map(repr, row) for row in graph.adjacency.tolist())
+    _write_table(path, "node", node_ids, node_ids, rows)
 
 
 # --------------------------------------------------------------------------
@@ -414,12 +407,19 @@ def metrics(x_hat: np.ndarray, x: np.ndarray, eval_mask: np.ndarray) -> dict:
     """MAE, MSE and MRE over evaluation cells.
 
     MRE is the ratio of summed absolute errors to summed absolute truths
-    (the elementwise form divides by zero on zero-valued truths).
+    (the elementwise form divides by zero on zero-valued truths).  An
+    evaluation cell without a finite imputed value is a DataError, not a
+    NaN score.
     """
     mask = np.asarray(eval_mask, dtype=bool)
     if not mask.any():
         raise DataError("empty evaluation mask")
-    err = np.asarray(x)[mask] - np.asarray(x_hat)[mask]
+    imputed = np.asarray(x_hat)[mask]
+    missing = int(np.count_nonzero(~np.isfinite(imputed)))
+    if missing:
+        raise DataError(f"{missing} of {imputed.size} evaluation cells hold "
+                        "no finite imputed value")
+    err = np.asarray(x)[mask] - imputed
     denom = np.abs(np.asarray(x)[mask]).sum()
     if denom == 0.0:
         raise DataError("MRE undefined: evaluation truths sum to zero")

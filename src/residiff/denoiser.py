@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "DenoiserConfig",
@@ -193,17 +193,22 @@ def forward(p, config: DenoiserConfig, z_t, z0c, t, a_hat: np.ndarray, time_inde
     return ad.reshape(out, (b, l, n))
 
 
-def masked_mse(pred, target: np.ndarray, target_mask: np.ndarray, count=None):
-    """Sum over target cells of (target - pred)^2, divided by ``count``.
+def _masked_mean(per_cell, target_mask: np.ndarray, count=None):
+    """Sum of ``per_cell`` over target cells, divided by ``count``.
 
     ``count`` defaults to the number of target cells, which makes this the
     mean; a batch run in parts passes each part the whole batch's count, so
-    the parts' losses add up to the batch's mean.  A zero count is an error.
+    the parts' losses add up to the batch's mean.  A zero count is a DataError.
     """
     mask = np.asarray(target_mask, dtype=np.float64)
     if count is None:
         count = mask.sum()
     if count == 0:
-        raise ValueError("empty target mask: mean squared error undefined")
+        raise DataError("empty target mask: the masked mean is undefined")
+    return ad.mul(ad.sum_(ad.mul(per_cell, mask)), 1.0 / count)
+
+
+def masked_mse(pred, target: np.ndarray, target_mask: np.ndarray, count=None):
+    """Masked mean of (target - pred)^2; ``count`` as in ``_masked_mean``."""
     diff = ad.sub(target, pred)
-    return ad.mul(ad.sum_(ad.mul(ad.mul(diff, diff), mask)), 1.0 / count)
+    return _masked_mean(ad.mul(diff, diff), target_mask, count)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as dt
-from .denoiser import normalized_adjacency
+from .denoiser import _masked_mean, normalized_adjacency
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -270,10 +270,6 @@ def residual_and_condition(x_init, values, target_mask, observed_mask=None,
 
 def init_loss(x_init, values, target_mask, norm: str = "l1"):
     """Mean absolute (or squared) rough-fill error over target cells."""
-    mask = np.asarray(target_mask, dtype=np.float64)
-    count = mask.sum()
-    if count == 0:
-        raise DataError("empty target mask")
     diff = ad.sub(x_init, values)
     if norm == "l1":
         per_cell = ad.absolute(diff)
@@ -281,4 +277,4 @@ def init_loss(x_init, values, target_mask, norm: str = "l1"):
         per_cell = ad.mul(diff, diff)
     else:
         raise ConfigError(f"unknown norm {norm!r}")
-    return ad.mul(ad.sum_(ad.mul(per_cell, mask)), 1.0 / count)
+    return _masked_mean(per_cell, target_mask)

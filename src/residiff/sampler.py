@@ -154,8 +154,7 @@ class ImputationResult:
     samples: np.ndarray  # (S, L, N), data units
     median: np.ndarray
     q_low: np.ndarray
-    q_high: np.ndarray
-    q_levels: tuple[float, float]
+    q_high: np.ndarray  # the band's levels are Q_LEVELS
     metrics: dict | None
 
 
@@ -236,7 +235,7 @@ class _SamplerSetup:
         scores = (dt.metrics(median, self.x.values, self.x.eval_mask)
                   if self.x.eval_mask.any() else None)
         return ImputationResult(samples=samples, median=median, q_low=q_low,
-                                q_high=q_high, q_levels=Q_LEVELS, metrics=scores)
+                                q_high=q_high, metrics=scores)
 
 
 def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph) -> np.ndarray:

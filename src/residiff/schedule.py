@@ -63,7 +63,8 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
     """Linear interpolation between the minimum and maximum noise levels.
 
     beta[t] = beta_min + (t-1)/(T-1) * (beta_max - beta_min); for T = 1 the
-    schedule is the single value beta_min (== beta_max is then required).
+    schedule is the single value beta_min, and beta_max only has to pass the
+    range check.
     """
     if T < 1:
         raise ConfigError(f"step count must be >= 1, got {T}")

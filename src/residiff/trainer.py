@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -69,6 +70,11 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+
+# the values a config field takes, by the type of its default; a bool is
+# an Integral, so only bool fields take one
+_FIELD_KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
 
 
 @dataclass
@@ -110,6 +116,14 @@ class TrainConfig:
     flip_residual_sign: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, _FIELD_KINDS[kind])):
+                raise ConfigError(f"config key {f.name!r} expects {kind.__name__}, "
+                                  f"got {value!r}")
+            if kind is float:
+                setattr(self, f.name, float(value))  # a JSON integer echoes as 1.0
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"loss balance must be finite and nonnegative, got {self.lam}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -134,9 +148,11 @@ class TrainConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"expected one of {', '.join(allowed)}")
-        # the denoiser's own shape checks, here so that a bad shape fails
-        # before any training; they do not involve the node count
+        # the denoiser's own shape checks and the noise schedule's, here so
+        # that a bad value fails before any training; neither involves the
+        # node count
         self.denoiser_config(n_nodes=1)
+        self.schedule()
 
     @property
     def residual_sign(self) -> float:

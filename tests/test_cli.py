@@ -140,6 +140,10 @@ def test_malformed_sweep_list_exits_2(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("flag,value,message", [
     ("--eta", "2", "eta must lie in [0, 1]"),
     ("--samples", "0", "sample count must be >= 1"),
+    # a bad value after a good one in any sweep grid
+    ("--sweep-k", "2,0", "substep count 0 outside 1..4"),
+    ("--sweep-lam", "0.2,-1", "loss balance must be finite and nonnegative"),
+    ("--sweep-t", "4,0", "diffusion step count must be >= 1"),
 ])
 def test_sweep_rejects_sampling_options_before_training(tmp_path, capsys, monkeypatch,
                                                         flag, value, message):
@@ -189,6 +193,87 @@ def test_failed_run_removes_partial_outputs(tmp_path):
     out = tmp_path / "zzz"
     code = main(["train", "--data", str(tmp_path / "nope"), "--out", str(out)])
     assert code == 3
+    assert not out.exists()
+
+
+FAST_CONFIG = {"t_steps": 6, "epochs": 2, "batch_size": 4, "d": 16, "head_count": 2}
+
+
+@pytest.mark.parametrize("key,value", [("predict_x0", "no"), ("epochs", "5"),
+                                       ("lam", "0.2"), ("t_steps", None)])
+def test_config_value_of_the_wrong_type_exits_2_or_3_from_a_sidecar(pipeline, tmp_path,
+                                                                     capsys, key, value):
+    _, _, dsm, run = pipeline
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({**FAST_CONFIG, "data": str(dsm), key: value}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert repr(key) in _one_line_error(capsys, "config error:")
+    assert not out.exists()
+
+    ck = tmp_path / "ck.bin"
+    ck.write_bytes((run / "checkpoint.bin").read_bytes())
+    sidecar = json.loads((run / "checkpoint.bin.json").read_text())
+    sidecar["config"][key] = value
+    (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+    imp = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(ck),
+                 "--out", str(imp), "--samples", "2"]) == 3
+    assert "invalid sidecar config" in _one_line_error(capsys, "data error:")
+    assert not imp.exists()
+
+
+def test_float_config_value_given_as_a_json_integer(pipeline, tmp_path):
+    _, _, dsm, _ = pipeline
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({**FAST_CONFIG, "data": str(dsm), "lam": 1}))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    lam = json.loads((run / "checkpoint.bin.json").read_text())["config"]["lam"]
+    assert lam == 1.0 and isinstance(lam, float)  # echoed as --lam 1 echoes it
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(run / "checkpoint.bin"),
+                 "--out", str(tmp_path / "imp"), "--samples", "2"]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta-min", "0.3", "--beta-max", "0.5"],
+    ["--beta-max", "0.5", "--beta-min", "0.3"],
+    ["--d", "30", "--head-count", "5"],
+    ["--head-count", "5", "--d", "30"],
+])
+def test_cross_checked_flags_resolve_in_either_order(flags, tmp_path):
+    import argparse
+
+    from residiff.cli import resolve_config
+
+    given = {key[2:].replace("-", "_"): json.loads(raw)
+             for key, raw in zip(flags[::2], flags[1::2])}
+    cfg = resolve_config(argparse.Namespace(config=None), flags)
+    assert {name: getattr(cfg, name) for name in given} == given
+    # the first value from a config file, the second from a flag
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict([next(iter(given.items()))])))
+    cfg = resolve_config(argparse.Namespace(config=str(cfg_path)), flags[2:])
+    assert {name: getattr(cfg, name) for name in given} == given
+
+
+def test_eval_of_an_imputation_with_blank_evaluation_cells_exits_3(pipeline, tmp_path,
+                                                                   capsys):
+    from residiff import data as dt
+
+    _, _, dsm, _ = pipeline
+    values, stamps, ids = dt.load_values_csv(dsm / "values.csv")
+    eval_mask = dt.load_values_csv(dsm / "eval_mask.csv")[0] == 1.0
+    rows, cols = np.nonzero(eval_mask)
+    shown = np.ones_like(eval_mask)
+    shown[rows[:2], cols[:2]] = False  # two evaluation cells left blank
+    imp = tmp_path / "imp"
+    imp.mkdir()
+    dt.save_values_csv(imp / "median.csv", values, stamps, ids, shown)
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", str(dsm), "--imputed", str(imp), "--out", str(out)]) == 3
+    message = _one_line_error(capsys, "data error:")
+    assert f"2 of {eval_mask.sum()} evaluation cells" in message
     assert not out.exists()
 
 
@@ -577,7 +662,8 @@ def test_train_peak_rss_at_207_nodes(tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "pretrain"])
 @pytest.mark.parametrize("flags", [("--d", "30", "--head-count", "4"),
-                                   ("--conv-width", "4")])
+                                   ("--conv-width", "4"), ("--beta-max", "2"),
+                                   ("--beta-min", "0")])
 def test_bad_denoiser_shape_exits_2_before_pretraining(pipeline, tmp_path, capsys,
                                                        monkeypatch, command, flags):
     from residiff import cli

@@ -8,7 +8,7 @@ import pytest
 from residiff import autodiff as ad
 from residiff import denoiser as dn
 from residiff import oracle as orc
-from residiff.errors import ConfigError
+from residiff.errors import ConfigError, DataError
 
 
 def eps_hat(p, cfg, adj, z, c, t):
@@ -207,7 +207,7 @@ def test_loss_masking_contract(small):
 def test_loss_rejects_empty_mask(small):
     cfg, params, adj, rng = small
     z = rng.standard_normal((1, 4, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         noise_loss(cfg, adj, z, z, np.array([1]), z,
                    np.zeros((1, 4, 3), dtype=bool))(ad.leaves(params))
 
