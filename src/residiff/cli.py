@@ -137,7 +137,10 @@ class _OutputDir:
         self.path = Path(path)
         self.existed = self.path.exists()
         self.created: list[Path] = []
-        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
     def file(self, name: str) -> Path:
         p = self.path / name
@@ -151,12 +154,6 @@ class _OutputDir:
         for p in self.created:
             if p.exists():
                 p.unlink()
-
-
-def _echo_config(out: _OutputDir, cfg: RunConfig):
-    with open(out.file("config.json"), "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_dataset(cfg: RunConfig):
@@ -219,14 +216,6 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
 
-def _write_log(path: Path, log):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss_simple", "loss_init", "loss_joint"])
-        for row in log:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
-
-
 def _cmd_pretrain(cfg: RunConfig, out: _OutputDir) -> int:
     grid, graph = _load_dataset(cfg)
     tcfg = _train_config(cfg)
@@ -245,8 +234,8 @@ def _cmd_pretrain(cfg: RunConfig, out: _OutputDir) -> int:
     )
     save_checkpoint(ckpt, out.file("checkpoint.bin"))
     out.file("checkpoint.bin.json")
-    _write_log(out.file("pretrain_log.csv"),
-               [(i, x, x, x) for i, x in enumerate(losses)])
+    dt.save_log_csv(out.file("pretrain_log.csv"),
+                    [(i, x, x, x) for i, x in enumerate(losses)])
     return 0
 
 
@@ -255,7 +244,7 @@ def _cmd_train(cfg: RunConfig, out: _OutputDir) -> int:
     result = train_joint(grid, graph, _train_config(cfg))
     save_checkpoint(result.checkpoint, out.file("checkpoint.bin"))
     out.file("checkpoint.bin.json")
-    _write_log(out.file("train_log.csv"), result.log)
+    dt.save_log_csv(out.file("train_log.csv"), result.log)
     return 0
 
 
@@ -292,9 +281,7 @@ def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
         "seed": cfg.seed,
         "metrics": result.metrics,
     }
-    with open(out.file("summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dt.save_json(out.file("summary.json"), summary)
     return 0
 
 
@@ -308,21 +295,15 @@ def _cmd_eval(cfg: RunConfig, out: _OutputDir) -> int:
     median, _, _ = dt.load_values_csv(med_path)
     if median.shape != grid.shape:
         raise DataError("imputed grid shape does not match dataset")
-    if not grid.eval_mask.any():
-        raise DataError("dataset has no evaluation cells")
     scores = dt.metrics(median, grid.values, grid.eval_mask)
-    with open(out.file("metrics.json"), "w") as fh:
-        json.dump(scores, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dt.save_json(out.file("metrics.json"), scores)
     print(json.dumps(scores, sort_keys=True))
     return 0
 
 
 def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> int:
     report = run_audits(cfg.seed)
-    with open(out.file("audit.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dt.save_json(out.file("audit.json"), report)
     for a in report["audits"]:
         status = "pass" if a["pass"] else "FAIL"
         print(f"{status}  {a['name']}  residual={a['residual']:.3e} "
@@ -442,7 +423,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args, overrides)
         out = _OutputDir(cfg.out)
-        _echo_config(out, cfg)
+        dt.save_json(out.file("config.json"), asdict(cfg))
         return _COMMANDS[args.command](cfg, out)
     except Exception as exc:
         if out:

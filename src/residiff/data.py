@@ -10,12 +10,14 @@ CSV formats (all with header rows):
   values.csv     time,<node>,...   one row per step; empty/NaN = unobserved
   mask files     time,<node>,...   0/1 entries, same shape as values
   adjacency.csv  node,<node>,...   symmetric nonnegative weights, zero diag
+  training logs  step,loss_simple,loss_init,loss_joint   one row per step
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +33,8 @@ __all__ = [
     "save_values_csv",
     "save_mask_csv",
     "save_adjacency_csv",
+    "save_log_csv",
+    "save_json",
     "synth_generate",
     "SynthParams",
     "mask_point",
@@ -242,6 +246,19 @@ def save_adjacency_csv(path, graph: Graph, node_ids):
     _write_table(path, "node", node_ids, node_ids, rows)
 
 
+def save_log_csv(path, log):
+    """Write a training log's rows of (step, loss_simple, loss_init, loss_joint)."""
+    _write_table(path, "step", ("loss_simple", "loss_init", "loss_joint"),
+                 [row[0] for row in log], ([repr(x) for x in row[1:]] for row in log))
+
+
+def save_json(path, obj):
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # --------------------------------------------------------------------------
 # Synthetic data
 
@@ -274,6 +291,8 @@ def synth_generate(seed: int, n_nodes: int, n_steps: int,
     params = params or SynthParams()
     if n_nodes < 2:
         raise ConfigError("need at least 2 nodes")
+    if params.steps_per_day < 1:
+        raise ConfigError(f"steps per day must be >= 1, got {params.steps_per_day}")
     if n_steps < params.steps_per_day:
         raise ConfigError("need at least one day of steps")
     rng = np.random.default_rng(seed)

@@ -33,6 +33,7 @@ __all__ = [
     "param_shapes",
     "init_params",
     "normalized_adjacency",
+    "call_slices",
     "forward",
     "masked_mse",
 ]
@@ -48,10 +49,18 @@ _SCORE_BYTES = 2 * 2**20
 def _windows_per_call(n_nodes: int, n_window: int, head_count: int) -> int:
     """Windows per denoiser call that keep the larger score tensor, temporal
     (N, h, L, L) or spatial (L, h, N, N) per window, within _SCORE_BYTES;
-    never fewer than one.  The sampler and the trainer both split their
-    window batches by it."""
+    never fewer than one."""
     per_window = 8 * head_count * n_window * n_nodes * max(n_window, n_nodes)
     return max(1, _SCORE_BYTES // per_window)
+
+
+def call_slices(shape: tuple[int, int, int], head_count: int) -> list[slice]:
+    """One slice per denoiser call over a (B, L, N) window batch, each of
+    ``_windows_per_call`` windows; the sampler and the trainer both split
+    their window batches by it."""
+    b, l, n = shape
+    step = _windows_per_call(n, l, head_count)
+    return [slice(lo, lo + step) for lo in range(0, b, step)]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .denoiser import _masked_mean
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -175,12 +176,6 @@ def elbo_diagnostics(
     if target_mask is None:
         target_mask = np.ones_like(z0m_v, dtype=bool)
     mask = np.asarray(target_mask, dtype=bool)
-    n_cells = int(mask.sum())
-    if n_cells == 0:
-        raise ValueError("empty target mask")
-
-    def cell_mean(grid):
-        return float(np.sum(grid * mask) / n_cells)
 
     step_kl = np.zeros(max(sched.T - 1, 0))
     for t in range(2, sched.T + 1):
@@ -192,12 +187,13 @@ def elbo_diagnostics(
             mu_q = posterior_mean_z0(z_t, z0m_v, z0c_v, t, sched, mask)
             eps_hat = eps_predictor(z_t, z0c_v, t)
             mu_p = posterior_mean_eps(z_t, z0c_v, eps_hat, t, sched, mask)
-            acc += cell_mean(gaussian_kl_same_var(mu_q, mu_p, bt))
+            acc += float(_masked_mean(gaussian_kl_same_var(mu_q, mu_p, bt), mask))
         step_kl[t - 2] = acc / mc_draws
 
     acum_T = float(sched.alpha_cum[sched.T])
     prior_mean = np.sqrt(acum_T) * (z0m_v + z0c_v)
-    prior_kl = cell_mean(gaussian_kl_to_std_normal(prior_mean, 1.0 - acum_T))
+    prior_kl = float(_masked_mean(
+        gaussian_kl_to_std_normal(prior_mean, 1.0 - acum_T), mask))
 
     recon_var = float(sched.beta[0])
     acc = 0.0
@@ -209,7 +205,7 @@ def elbo_diagnostics(
         logpdf = -0.5 * (
             np.log(2.0 * np.pi * recon_var) + (z0m_v - mu_p) ** 2 / recon_var
         )
-        acc += cell_mean(logpdf)
+        acc += float(_masked_mean(logpdf, mask))
     recon_loglik = acc / mc_draws
 
     return ElboDiagnostics(step_kl=step_kl, prior_kl=prior_kl, recon_loglik=recon_loglik)

@@ -243,26 +243,16 @@ def impute_initial(values, visible, graph: dt.Graph, strategy: str, params: dict
     return out
 
 
-def residual_and_condition(x_init, values, target_mask, observed_mask=None,
-                           training: bool = True, sign: float = 1.0,
+def residual_and_condition(x_init, values, target_mask, sign: float = 1.0,
                            no_residual: bool = False):
     """Residual target and condition on target cells (zero elsewhere).
 
     residual = sign * (fill - truth) with fill = x_init, or zero under
     ``no_residual`` (the target is then the data itself); condition =
-    x_init.  Arrays in, arrays out; Tensors in, Tensors out.  In training
-    mode every target cell must carry ground truth (be observed).
+    x_init.  Arrays in, arrays out; Tensors in, Tensors out.
     """
-    mask = np.asarray(target_mask, dtype=bool)
-    if training:
-        if observed_mask is not None and np.any(mask & ~np.asarray(observed_mask, dtype=bool)):
-            raise DataError("target cells must have ground truth during training")
-        if values is None:
-            raise DataError("training mode requires ground-truth values")
-    maskf = mask.astype(np.float64)
+    maskf = np.asarray(target_mask, dtype=np.float64)
     z0c = ad.mul(x_init, maskf)
-    if values is None:
-        return None, z0c
     fill = np.zeros_like(values) if no_residual else x_init
     z0m = ad.mul(ad.mul(ad.sub(fill, values), maskf), sign)
     return z0m, z0c

@@ -20,7 +20,7 @@ from the terminal state before combining the residual with the rough fill.
 
 The series is cut once into whole windows plus at most one shorter tail; a
 reshape turns each part of the chain state into a window batch for the
-denoiser.  Each call takes ``dn._windows_per_call`` windows, as many as keep
+denoiser, which ``dn.call_slices`` splits into calls of as many windows as keep
 one attention score tensor within a core's L2 cache (with 24-step windows and
 4 heads: 5 windows at 20 nodes, one from 50 nodes up), so each op's operands
 stay in cache and a call's memory stays bounded at any graph size.  Each
@@ -186,17 +186,14 @@ class _SamplerSetup:
                                             self.visible[None, sl], graph,
                                             cfg.strategy, checkpoint.initial)[0]
         self.x_init_eff = np.zeros_like(x_init) if cfg.no_residual else x_init
-        _, self.z0c = ini.residual_and_condition(x_init, None, self.target,
-                                                 training=False)
+        self.z0c = x_init * self.targetf
         self.z0c_chain = np.zeros_like(self.z0c) if cfg.no_cond_forward else self.z0c
 
         # whole windows, then at most one shorter tail, each with its condition
-        # batch and the windows per denoiser call its shape allows; windows
-        # start at multiples of n_window, so the denoiser's default time index
-        # is each window's phase
+        # batch; windows start at multiples of n_window, so the denoiser's
+        # default time index is each window's phase
         cut = L - L % n_window
-        self.parts = [(slice(lo, hi), self.z0c_chain[lo:hi].reshape(-1, length, n_nodes),
-                       dn._windows_per_call(n_nodes, length, self.config.head_count))
+        self.parts = [(slice(lo, hi), self.z0c_chain[lo:hi].reshape(-1, length, n_nodes))
                       for lo, hi, length in ((0, cut, n_window), (cut, L, L - cut))
                       if hi > lo]
 
@@ -204,11 +201,11 @@ class _SamplerSetup:
         """Denoiser output for an (S, L, N) state, over sample-major window batches."""
         s_count, _, n_nodes = z_full.shape
         out = np.empty_like(z_full)
-        for sl, cond, step in self.parts:
+        for sl, cond in self.parts:
             z_batch = z_full[:, sl].reshape((-1,) + cond.shape[1:])
             c_batch = np.tile(cond, (s_count, 1, 1))
             preds = np.empty_like(z_batch)
-            for win in (slice(lo, lo + step) for lo in range(0, len(z_batch), step)):
+            for win in dn.call_slices(z_batch.shape, self.config.head_count):
                 preds[win] = dn.forward(self.params, self.config,
                                         z_batch[win], c_batch[win], t, self.a_hat)
             out[:, sl] = preds.reshape(s_count, -1, n_nodes)

@@ -15,8 +15,8 @@ error.  Gradients flow into the fill through the residual, the condition,
 and L_init unless it is frozen.
 
 The fill runs once per batch and stays one tape node.  The denoiser runs
-over the batch in calls of ``dn._windows_per_call`` windows, the sampler's
-call size, so a step's memory follows the call, not the batch.  Each call is
+over the batch in the calls of ``dn.call_slices``, the sampler's call size,
+so a step's memory follows the call, not the batch.  Each call is
 taped from fresh leaves, with its windows' slice of the fill output as a
 leaf, and differentiated at once: its loss is its share of L_simple (its
 squared error over the batch's target count), its denoiser gradients add up
@@ -336,7 +336,6 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     dcfg = config.denoiser_config(grid.shape[1])
     dparams = dn.init_params(dcfg, rng)
     a_hat = dn.normalized_adjacency(graph.adjacency)
-    per_call = dn._windows_per_call(dcfg.n_nodes, dcfg.n_window, dcfg.head_count)
 
     train_initial = bool(initial) and not config.freeze_initial
     opt_params = {f"denoiser/{n}": arr for n, arr in dparams.items()}
@@ -355,7 +354,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
         count = target.sum()
 
         ls, grads, d_x = 0.0, {}, np.empty_like(values)
-        for win in (slice(lo, lo + per_call) for lo in range(0, len(values), per_call)):
+        for win in dn.call_slices(values.shape, dcfg.head_count):
             x_win = ad.value_of(x_init)[win]
             if train_initial:
                 x_win = ad.Tensor(x_win)
@@ -432,9 +431,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     sidecar = {"config": asdict(ckpt.config), "n_nodes": ckpt.denoiser_config.n_nodes}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dt.save_json(str(path) + ".json", sidecar)
 
 
 def load_checkpoint(path) -> Checkpoint:

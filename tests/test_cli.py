@@ -716,3 +716,55 @@ def test_out_of_range_training_value_exits_2_or_3_from_a_sidecar(pipeline, tmp_p
                  "--out", str(imp), "--samples", "2"]) == 3
     assert "invalid sidecar config" in _one_line_error(capsys, "data error:")
     assert not imp.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+def test_output_path_through_a_file_exits_2(tmp_path, capsys, sub):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me")
+    out = blocker / sub if sub else blocker
+    assert main(["synth", "--out", str(out), "--n-nodes", "3", "--data-steps", "24"]) == 2
+    assert str(out) in _one_line_error(capsys, "config error:")
+    assert blocker.read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_synth_steps_per_day_below_1_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--steps-per-day", value]) == 2
+    assert "steps per day" in _one_line_error(capsys, "config error:")
+    assert not out.exists()
+
+
+def test_artifact_formats(pipeline, tmp_path):
+    # every JSON artifact is indented by two, with sorted keys and a final
+    # newline; both loss logs share one header and write losses with repr
+    from residiff import cli
+    from residiff import data as dt
+
+    _, ds, dsm, run = pipeline
+    pre, imp, ev, ver = (tmp_path / name for name in ("pre", "imp", "ev", "ver"))
+    assert main(["pretrain", "--data", str(dsm), "--out", str(pre), "--strategy",
+                 "trainable", "--init-hidden", "4", "--pretrain-epochs", "2", *FAST_TRAIN]) == 0
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(run / "checkpoint.bin"),
+                 "--out", str(imp), "--samples", "2", "--sampler", "ddim",
+                 "--accelerate-steps", "2"]) == 0
+    assert main(["eval", "--data", str(dsm), "--imputed", str(imp), "--out", str(ev)]) == 0
+    assert main(["verify", "--out", str(ver), "--seed", "0"]) == 0
+
+    written = [p for d in (ds, dsm, run, pre, imp, ev, ver) for p in d.glob("*.json")]
+    assert {p.name for p in written} == {"config.json", "checkpoint.bin.json", "summary.json",
+                                         "metrics.json", "audit.json"}
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+    header, *rows = (pre / "pretrain_log.csv").read_text().splitlines()
+    assert header == (run / "train_log.csv").read_text().splitlines()[0]
+    cfg = cli.RunConfig(**json.loads((pre / "config.json").read_text()))
+    grid, graph = cli._load_dataset(cfg)
+    _, losses = cli.pretrain_initial(dt.normalize(grid)[0], graph, cli._train_config(cfg),
+                                     np.random.default_rng(cfg.seed))
+    assert len(losses) > 0
+    assert rows == [f"{i},{x!r},{x!r},{x!r}" for i, x in enumerate(losses)]

@@ -3,6 +3,7 @@ import pytest
 
 from residiff import forward as fw
 from residiff import oracle as orc
+from residiff.errors import DataError
 from residiff.schedule import build_linear_schedule
 
 S2 = build_linear_schedule(2, 0.1, 0.2)
@@ -200,7 +201,7 @@ def test_elbo_requires_draws_and_mask():
         fw.elbo_diagnostics(np.ones((2, 2)), np.ones((2, 2)),
                             lambda z, c, t: z, S2, mc_draws=0,
                             rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         fw.elbo_diagnostics(np.ones((2, 2)), np.ones((2, 2)),
                             lambda z, c, t: z, S2, mc_draws=1,
                             rng=np.random.default_rng(0),

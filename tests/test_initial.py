@@ -168,21 +168,6 @@ class TestResidualAndCondition:
             np.array([[5.0]]), np.array([[3.0]]), mask[:, :1], sign=-1.0, no_residual=True)
         assert z0m[0, 0] == 3.0
 
-    def test_inference_mode_returns_condition_only(self):
-        z0m, z0c = ini.residual_and_condition(
-            np.ones((2, 2)), None, np.ones((2, 2), dtype=bool), training=False)
-        assert z0m is None
-        np.testing.assert_array_equal(z0c, 1.0)
-
-    def test_training_requires_ground_truth(self):
-        mask = np.ones((2, 2), dtype=bool)
-        observed = np.array([[True, False], [True, True]])
-        with pytest.raises(DataError):
-            ini.residual_and_condition(np.ones((2, 2)), np.ones((2, 2)), mask,
-                                       observed_mask=observed)
-        with pytest.raises(DataError):
-            ini.residual_and_condition(np.ones((2, 2)), None, mask)
-
 
 class TestInitLoss:
     def test_zero_at_perfect_fit(self):
