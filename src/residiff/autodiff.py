@@ -250,6 +250,11 @@ _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 # 192 x 192 scores per matrix and not beyond; the tests hold the op to the
 # composition on both sides of this limit.
 _KEY_MAJOR_MAX = 128
+# Scores ``attention`` holds at once on plain arrays: it works through the
+# leading axes until one block's scores fit (the whole tensor, one window of
+# it, or down to a single matrix, which may exceed it), so a tape-free
+# call's scores no longer grow with its batch.
+_BLOCK_BYTES = 512 * 2**10
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
@@ -286,35 +291,57 @@ def attention(q, k, v):
     the same leading dimensions.
 
     Equal to ``oracle.attention_reference``, the op-by-op composition, bit
-    for bit.  For sequences of up to ``_KEY_MAJOR_MAX`` the scores are laid
-    out key-major, ``p[key, ..., query]``, so the softmax's max, exp, sum
-    and divide each run over one long leading axis instead of S-wide
-    trailing rows; the key sum follows numpy's pairwise order
-    (``_pairwise_sum``), and the probabilities are copied back to a
-    contiguous (..., query, key) array before the GEMM with ``v``, whose
-    small-matrix kernels change bits on a strided operand.  That layout gets
-    its scores from ``k @ qᵀ``, which matches ``(q @ kᵀ)ᵀ`` only while BLAS
-    takes its small-matrix kernels, so longer sequences keep the
-    composition's row layout and ``softmax``.  The context is written in
-    q's memory order.  As a tape node, its three gradients come from one
-    backward pass per output gradient, in the composition's operand order.
+    for bit.  The op works through the leading axes one index at a time,
+    outermost first, going one axis deeper until a block's scores fit
+    ``_BLOCK_BYTES``; each block runs the same per-matrix GEMMs and the
+    same per-row or per-column reductions as the whole tensor would, so
+    blocking moves no bit.  On plain arrays the op holds one block of
+    scores and one of probabilities at a time; as a tape node it writes
+    every block's probabilities into the full tensor its backward reads.
+
+    For sequences of up to ``_KEY_MAJOR_MAX`` the scores are laid out
+    key-major, ``p[key, ..., query]``, so the softmax's max, exp, sum and
+    divide each run over one long leading axis instead of S-wide trailing
+    rows; the key sum follows numpy's pairwise order (``_pairwise_sum``),
+    and the probabilities are copied to a contiguous (..., query, key)
+    array before the GEMM with ``v``, whose small-matrix kernels change bits
+    on a strided operand.  That layout gets its scores from ``k @ qᵀ``,
+    which matches ``(q @ kᵀ)ᵀ`` only while BLAS takes its small-matrix
+    kernels, so longer sequences keep the composition's row layout and
+    softmax.  The context is written in q's memory order.  As a tape node,
+    its three gradients come from one backward pass per output gradient, in
+    the composition's operand order.
     """
     qv, kv, vv = value_of(q), value_of(k), value_of(v)
     *batch, s_q, _ = qv.shape
     s_k = kv.shape[-2]
-    if max(s_q, s_k) <= _KEY_MAJOR_MAX:
-        p = np.empty((s_k, *batch, s_q))
-        np.matmul(kv, np.swapaxes(qv, -1, -2), out=np.moveaxis(p, 0, -2))
-        p -= p.max(axis=0)
-        np.exp(p, out=p)
-        p /= _pairwise_sum(p)
-        attn = np.empty((*batch, s_q, s_k))
-        np.copyto(attn, np.moveaxis(p, 0, -1))
-        del p  # freed before the context is allocated
-    else:
-        attn = softmax(qv @ np.swapaxes(kv, -1, -2))
+    depth = 0
+    while depth < len(batch) and 8 * s_q * s_k * np.prod(batch[depth:]) > _BLOCK_BYTES:
+        depth += 1
+    inner = batch[depth:]
+    taped = any(isinstance(x, Tensor) for x in (q, k, v))
+    # the backward reads every probability; without a tape one block will do
+    attn = np.empty((*batch, s_q, s_k) if taped else (*inner, s_q, s_k))
     out = np.empty_like(qv, shape=(*batch, s_q, vv.shape[-1]))
-    np.matmul(attn, vv, out=out)
+    qt, kt = np.swapaxes(qv, -1, -2), np.swapaxes(kv, -1, -2)
+    key_major = max(s_q, s_k) <= _KEY_MAJOR_MAX
+    if key_major:
+        p = np.empty((s_k, *inner, s_q))
+        p_gemm, p_rows = np.moveaxis(p, 0, -2), np.moveaxis(p, 0, -1)
+    for idx in np.ndindex(*batch[:depth]):
+        probs = attn[idx] if taped else attn
+        if key_major:
+            np.matmul(kv[idx], qt[idx], out=p_gemm)
+            p -= p.max(axis=0)
+            np.exp(p, out=p)
+            p /= _pairwise_sum(p)
+            np.copyto(probs, p_rows)
+        else:
+            np.matmul(qv[idx], kt[idx], out=probs)
+            probs -= np.max(probs, axis=-1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= np.sum(probs, axis=-1, keepdims=True)
+        np.matmul(probs, vv[idx], out=out[idx])
 
     cache = {}
 
@@ -326,8 +353,7 @@ def attention(q, k, v):
             gs -= np.sum(gs * attn, axis=-1, keepdims=True)
             gs *= attn
             cache.clear()
-            cache.update(g=g, q=gs @ kv,
-                         k=np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2),
+            cache.update(g=g, q=gs @ kv, k=np.swapaxes(qt @ gs, -1, -2),
                          v=np.swapaxes(attn, -1, -2) @ g)
         return cache
 

@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 # Budget for one attention score tensor per denoiser call: one core's L2
-# cache (2 MiB on a 2-core Xeon).  It bounds both the working set of each op,
+# cache (2 MiB on a 2-core Xeon).  It bounds the working set of each op,
 # whose operands then stay in cache (at 20 nodes, 100-window calls took 1.75x
-# the time per window of 5-window calls), and the memory a call holds at any
-# node count.
+# the time per window of 5-window calls), and the probabilities a taped call
+# keeps for its backward.  A tape-free call holds at most one block of
+# ``ad._BLOCK_BYTES`` in scores, whatever its size.
 _SCORE_BYTES = 2 * 2**20
 
 
@@ -151,8 +152,29 @@ def _attention(z, p, prefix: str, heads: int):
     q = proj("wq", 1.0 / np.sqrt(dh))
     k, v = proj("wk"), proj("wv")
     ctx = ad.transpose(ad.attention(q, k, v), np.argsort(perm))
+    del q, k, v  # freed before the output projection allocates
     out = ad.matmul(ad.reshape(ctx, (b * l * n, d)), p[f"{prefix}_wo"])
     return ad.reshape(out, (b, l, n, d))
+
+
+def _embed(p, config: DenoiserConfig, z_t, z0c, t: np.ndarray, time_index: np.ndarray):
+    """Convolution over the [condition, state] stack, tanh, and the three
+    additive embeddings: the (B, L, N, d) input of the first attention."""
+    b, l, n = z_t.shape
+    x = ad.stack_last(z0c, z_t)  # (B, L, N, 2)
+    half = config.conv_width // 2
+    xp = ad.pad(x, ((0, 0), (half, half), (0, 0), (0, 0)))
+    ef = None
+    for k in range(config.conv_width):
+        term = ad.matmul(xp[:, k : k + l], p["conv_kernel"][k])
+        ef = term if ef is None else ad.add(ef, term)
+    ef = ad.tanh(ef)
+
+    d = config.d
+    tem = ad.reshape(ad.take_rows(p["temporal_table"], time_index), (b, l, 1, d))
+    spa = ad.reshape(p["spatial_table"], (1, 1, n, d))
+    step = ad.reshape(ad.take_rows(p["step_table"], t - 1), (b, 1, 1, d))
+    return ad.add(ad.add(ad.add(ef, tem), spa), step)
 
 
 def forward(p, config: DenoiserConfig, z_t, z0c, t, a_hat: np.ndarray, time_index=None):
@@ -175,25 +197,13 @@ def forward(p, config: DenoiserConfig, z_t, z0c, t, a_hat: np.ndarray, time_inde
     if time_index.ndim == 1:
         time_index = np.broadcast_to(time_index, (b, l))
 
-    x = ad.stack_last(z0c, z_t)  # (B, L, N, 2)
-    half = config.conv_width // 2
-    xp = ad.pad(x, ((0, 0), (half, half), (0, 0), (0, 0)))
-    ef = None
-    for k in range(config.conv_width):
-        term = ad.matmul(xp[:, k : k + l], p["conv_kernel"][k])
-        ef = term if ef is None else ad.add(ef, term)
-    ef = ad.tanh(ef)
-
-    d = config.d
-    tem = ad.reshape(ad.take_rows(p["temporal_table"], time_index), (b, l, 1, d))
-    spa = ad.reshape(p["spatial_table"], (1, 1, n, d))
-    step = ad.reshape(ad.take_rows(p["step_table"], t - 1), (b, 1, 1, d))
-    z = ad.add(ad.add(ad.add(ef, tem), spa), step)
-
+    # each activation is dropped once the next layer has read it; the tape
+    # still keeps whatever its gradient functions read
+    z = _embed(p, config, z_t, z0c, t, time_index)
     z = ad.add(z, _attention(z, p, "tem", config.head_count))
-    gz = ad.matmul(ad.matmul(a_hat, z), p["graph_weight"])
-    z = ad.add(z, ad.tanh(gz))
+    z = ad.add(z, ad.tanh(ad.matmul(ad.matmul(a_hat, z), p["graph_weight"])))
     z = ad.add(z, _attention(z, p, "spa", config.head_count))
+    d = config.d
     # one matrix-vector product per window, so that a window's output does
     # not depend on the other windows in its call; BLAS sends the last
     # ``rows mod 4`` rows of a product through another kernel

@@ -18,12 +18,13 @@ condition (z0m + z0c, with the condition zeroed under ``no_cond_forward``),
 not at the residual alone.  ``_SamplerSetup.finalize`` removes the condition
 from the terminal state before combining the residual with the rough fill.
 
-The series is cut once into whole windows plus at most one shorter tail; a
-reshape turns each part of the chain state into a window batch for the
-denoiser, which ``dn.call_slices`` splits into calls of as many windows as keep
-one attention score tensor within a core's L2 cache (with 24-step windows and
-4 heads: 5 windows at 20 nodes, one from 50 nodes up), so each op's operands
-stay in cache and a call's memory stays bounded at any graph size.  Each
+The series is cut once into whole windows plus at most one shorter tail,
+and each part's condition batch is built once per impute; a reshape turns
+each part of the chain state into a window batch for the denoiser, which
+``dn.call_slices`` splits into calls of as many windows as the call budget
+allows (with 24-step windows and 4 heads: 5 windows at 20 nodes, one from 50
+nodes up), so each op's operands stay in cache.  What a tape-free call holds
+in scores is bounded by ``ad.attention``'s blocks, not by the call size.  Each
 sample chain owns an RNG stream derived from (root seed, sample index), and a
 window's prediction does not depend on the other windows in its call, so
 results do not depend on how windows split into calls.  Non-visible cells are
@@ -159,9 +160,9 @@ class ImputationResult:
 
 
 class _SamplerSetup:
-    """Shared preprocessing for both samplers."""
+    """Shared preprocessing for both samplers, for chains of ``samples`` samples."""
 
-    def __init__(self, checkpoint, x: dt.MaskedGrid, graph: dt.Graph):
+    def __init__(self, checkpoint, x: dt.MaskedGrid, graph: dt.Graph, samples: int = 1):
         cfg = checkpoint.config
         self.sched = checkpoint.sched
         self.params = checkpoint.denoiser
@@ -189,11 +190,13 @@ class _SamplerSetup:
         self.z0c = x_init * self.targetf
         self.z0c_chain = np.zeros_like(self.z0c) if cfg.no_cond_forward else self.z0c
 
-        # whole windows, then at most one shorter tail, each with its condition
-        # batch; windows start at multiples of n_window, so the denoiser's
-        # default time index is each window's phase
+        # whole windows, then at most one shorter tail, each with its
+        # sample-major condition batch, built once for every reverse step;
+        # windows start at multiples of n_window, so the denoiser's default
+        # time index is each window's phase
         cut = L - L % n_window
-        self.parts = [(slice(lo, hi), self.z0c_chain[lo:hi].reshape(-1, length, n_nodes))
+        self.parts = [(slice(lo, hi), np.tile(self.z0c_chain[lo:hi].reshape(-1, length, n_nodes),
+                                              (samples, 1, 1)))
                       for lo, hi, length in ((0, cut, n_window), (cut, L, L - cut))
                       if hi > lo]
 
@@ -201,9 +204,8 @@ class _SamplerSetup:
         """Denoiser output for an (S, L, N) state, over sample-major window batches."""
         s_count, _, n_nodes = z_full.shape
         out = np.empty_like(z_full)
-        for sl, cond in self.parts:
-            z_batch = z_full[:, sl].reshape((-1,) + cond.shape[1:])
-            c_batch = np.tile(cond, (s_count, 1, 1))
+        for sl, c_batch in self.parts:
+            z_batch = z_full[:, sl].reshape(c_batch.shape)
             preds = np.empty_like(z_batch)
             for win in dn.call_slices(z_batch.shape, self.config.head_count):
                 preds[win] = dn.forward(self.params, self.config,
@@ -281,7 +283,7 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, S: int,
                      rng: np.random.Generator) -> ImputationResult:
     """Full-length reverse sampling of S imputations (Alg-style ancestral)."""
     check_sampling(S)
-    setup = _SamplerSetup(checkpoint, x, graph)
+    setup = _SamplerSetup(checkpoint, x, graph, S)
     sched = setup.sched
     rngs = _sample_rngs(rng, S)
     z = _draw(rngs, x.shape) * setup.targetf
@@ -300,7 +302,7 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, K: int,
                        eta: float = 1.0) -> ImputationResult:
     """Accelerated sampling over K evenly spaced sub-steps."""
     check_sampling(S, eta)
-    setup = _SamplerSetup(checkpoint, x, graph)
+    setup = _SamplerSetup(checkpoint, x, graph, S)
     sched = setup.sched
     steps = substep_schedule(sched.T, K)
     rngs = _sample_rngs(rng, S)

@@ -124,6 +124,8 @@ class TrainConfig:
                                   f"got {value!r}")
             if kind is float:
                 setattr(self, f.name, float(value))  # a JSON integer echoes as 1.0
+            if f.name.endswith("seed") and value < 0:  # also RunConfig's mask_seed
+                raise ConfigError(f"config key {f.name!r} must be >= 0, got {value}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"loss balance must be finite and nonnegative, got {self.lam}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

@@ -132,6 +132,25 @@ def test_attention_equals_composition_bit_for_bit(s, dh, layout):
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@pytest.mark.parametrize("block_bytes", [1, 2**40], ids=["one_matrix", "one_block"])
+@pytest.mark.parametrize("layout", ["contiguous", "denoiser_views"])
+@pytest.mark.parametrize("s", [24, 129, 300])
+def test_attention_blocks_move_no_bit(s, layout, block_bytes, monkeypatch):
+    """A block of one score matrix, or the whole tensor as one block, gives
+    the composition's output and gradients bit for bit, in both layouts."""
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
+    shape, perm = ((2, 3, s, 4), None) if layout == "contiguous" else ((2, s, 2, 2, 4), TEMPORAL)
+    arrays = {n: rng.standard_normal(shape) for n in "qkv"}
+    views = [a if perm is None else a.transpose(perm) for a in arrays.values()]
+    assert np.array_equal(ad.attention(*views), orc.attention_reference(*views))
+    w = rng.standard_normal(shape)
+    out, grads = attention_run(ad.attention, arrays, w, perm)
+    ref_out, ref_grads = attention_run(orc.attention_reference, arrays, w, perm)
+    assert np.array_equal(out, ref_out)
+    for name in "qkv":
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 def test_attention_context_keeps_the_query_memory_order():
     q, k, v = (rng.standard_normal((2, 6, 3, 2, 4)).transpose(TEMPORAL) for _ in range(3))
     ctx = ad.attention(q, k, v)

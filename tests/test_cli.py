@@ -602,9 +602,9 @@ def test_cli_allocator_policy_ends_page_fault_churn():
 
 # Linux carries a process's RSS high-water mark across exec, so a child's
 # ru_maxrss starts at the size of the process that spawned it.  The probe
-# therefore trains in a fork of itself, whose mark starts afresh, and that
-# fork prints its own exit code and ru_maxrss.
-_TRAIN_PEAK = """
+# therefore runs its command in a fork of itself, whose mark starts afresh,
+# and that fork prints its own exit code and ru_maxrss.
+_PEAK_PROBE = """
 import os, resource, sys
 if os.fork() == 0:
     from residiff.cli import main
@@ -615,29 +615,38 @@ os.wait()
 """
 
 
-def _train_peak_kib(tmp_path, n_nodes: int, *flags) -> int:
-    """Synthesize and mask 480 steps at ``n_nodes``, train on them in a
-    child at window 24, batch 16, d 32, 4 heads, T 10, 1 epoch, and return
-    the child's own peak RSS in KiB."""
+def _peak_kib(*argv) -> int:
+    """Run one CLI command in a child at one BLAS thread; its own peak RSS in KiB."""
     import residiff
 
-    ds, dsm = tmp_path / "ds", tmp_path / "dsm"
-    assert main(["synth", "--out", str(ds), "--n-nodes", str(n_nodes),
-                 "--data-steps", "480", "--seed", "3"]) == 0
-    assert main(["mask", "--data", str(ds), "--out", str(dsm), "--mask-p", "0.25",
-                 "--mask-seed", "1"]) == 0
     src = str(Path(residiff.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    done = subprocess.run(
-        [sys.executable, "-c", _TRAIN_PEAK, "train", "--data", str(dsm),
-         "--out", str(tmp_path / "run"), "--seed", "0", "--t-steps", "10",
-         "--n-window", "24", "--d", "32", "--head-count", "4", "--batch-size", "16",
-         "--epochs", "1", *flags],
-        env=env, check=True, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv], env=env,
+                          check=True, capture_output=True, text=True, timeout=300)
     code, peak_kib = map(int, done.stdout.split()[-2:])
     assert code == 0
     return peak_kib
+
+
+def _masked_world(tmp_path, n_nodes: int, steps: int) -> Path:
+    """Synthesize ``steps`` steps at ``n_nodes`` and hold out 25 % of the cells."""
+    ds, dsm = tmp_path / "ds", tmp_path / "dsm"
+    assert main(["synth", "--out", str(ds), "--n-nodes", str(n_nodes),
+                 "--data-steps", str(steps), "--seed", "3"]) == 0
+    assert main(["mask", "--data", str(ds), "--out", str(dsm), "--mask-p", "0.25",
+                 "--mask-seed", "1"]) == 0
+    return dsm
+
+
+def _train_peak_kib(tmp_path, n_nodes: int, *flags) -> int:
+    """Train on 480 masked steps at ``n_nodes`` in a child at window 24,
+    batch 16, d 32, 4 heads, T 10, 1 epoch, and return the child's own peak
+    RSS in KiB."""
+    dsm = _masked_world(tmp_path, n_nodes, 480)
+    return _peak_kib("train", "--data", str(dsm), "--out", str(tmp_path / "run"),
+                     "--seed", "0", "--t-steps", "10", "--n-window", "24", "--d", "32",
+                     "--head-count", "4", "--batch-size", "16", "--epochs", "1", *flags)
 
 
 def test_train_peak_rss_at_the_acceptance_shape(tmp_path):
@@ -658,6 +667,24 @@ def test_train_peak_rss_at_207_nodes(tmp_path):
     windows taped through the denoiser in one call."""
     peak_kib = _train_peak_kib(tmp_path, 207)
     assert peak_kib <= 256 * 2**10, f"peak RSS {peak_kib / 2**10:.1f} MiB"
+
+
+def test_impute_peak_rss_at_207_nodes(tmp_path):
+    """METR-LA's sensor count, sampled: a child imputes 48 steps with 2
+    samples over 3 DDIM steps from an untrained window-24, d 32, 4-head
+    checkpoint.  It read 48.6 MiB on a 2-core Xeon with attention's scores
+    worked through one block at a time, and 114.6 MiB with each call's whole
+    score tensor held at once."""
+    dsm = _masked_world(tmp_path, 207, 48)
+    run = tmp_path / "run"
+    assert main(["pretrain", "--data", str(dsm), "--out", str(run), "--seed", "0",
+                 "--t-steps", "10", "--n-window", "24", "--d", "32",
+                 "--head-count", "4"]) == 0
+    peak_kib = _peak_kib("impute", "--data", str(dsm), "--checkpoint",
+                         str(run / "checkpoint.bin"), "--out", str(tmp_path / "imp"),
+                         "--sampler", "ddim", "--accelerate-steps", "3", "--samples", "2",
+                         "--seed", "0")
+    assert peak_kib <= 80 * 2**10, f"peak RSS {peak_kib / 2**10:.1f} MiB"
 
 
 @pytest.mark.parametrize("command", ["train", "pretrain"])
@@ -735,6 +762,28 @@ def test_synth_steps_per_day_below_1_exits_2(tmp_path, capsys, value):
     assert main(["synth", "--out", str(out), "--steps-per-day", value]) == 2
     assert "steps per day" in _one_line_error(capsys, "config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command,key", [
+    ("synth", "seed"), ("mask", "mask_seed"), ("pretrain", "seed"), ("train", "seed"),
+    ("impute", "seed"), ("verify", "seed"), ("sweep", "seed"), ("sweep", "mask_seed")])
+def test_negative_seed_exits_2_without_output(pipeline, tmp_path, capsys, command, key,
+                                              given):
+    _, ds, dsm, run = pipeline
+    inputs = {"mask": ["--data", str(ds)], "pretrain": ["--data", str(dsm)],
+              "train": ["--data", str(dsm)],
+              "impute": ["--data", str(dsm), "--checkpoint", str(run / "checkpoint.bin")]}
+    argv = [command, "--out", str(tmp_path / "out"), *inputs.get(command, [])]
+    if given == "flag":
+        argv += [f"--{key.replace('_', '-')}", "-1"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: -1}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert key in _one_line_error(capsys, "config error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_artifact_formats(pipeline, tmp_path):

@@ -236,7 +236,7 @@ def test_each_window_is_predicted_once_within_the_bound(tiny_run, monkeypatch):
         return z_t.copy()  # the identity shows each output lands in place
 
     monkeypatch.setattr(sp.dn, "forward", spy)
-    setup = sp._SamplerSetup(ckpt, part, graph)
+    setup = sp._SamplerSetup(ckpt, part, graph, 3)
     z = np.arange(3 * part.values.size, dtype=np.float64).reshape((3,) + part.shape)
     np.testing.assert_array_equal(setup.predict(z, 1), z)
     assert max(len(zb) for zb, _ in batches) <= 3
@@ -247,6 +247,25 @@ def test_each_window_is_predicted_once_within_the_bound(tiny_run, monkeypatch):
         lo = int(zw[0, 0]) % part.values.size // part.shape[1]
         np.testing.assert_array_equal(cw, setup.z0c_chain[lo : lo + len(zw)])
     assert [len(zw) for zw, _ in windows].count(14) == 3
+
+
+@pytest.mark.parametrize("sampler", ["ancestral", "accelerated"])
+def test_condition_batch_is_built_once_per_impute(tiny_run, monkeypatch, sampler):
+    grid, graph, ckpt = tiny_run
+    forward, first_cond = sp.dn.forward, {}
+
+    def spy(p, config, z_t, z0c, t, a_hat):
+        first_cond.setdefault(t, z0c)
+        return forward(p, config, z_t, z0c, t, a_hat)
+
+    monkeypatch.setattr(sp.dn, "forward", spy)
+    rng = np.random.default_rng(0)
+    if sampler == "ancestral":
+        sp.ancestral_impute(ckpt, grid, graph, S=3, rng=rng)
+    else:
+        sp.accelerated_impute(ckpt, grid, graph, K=3, S=3, rng=rng)
+    first, last = (first_cond[t] for t in (max(first_cond), min(first_cond)))
+    assert len(first_cond) > 1 and np.shares_memory(first, last)
 
 
 def test_windows_per_call_follows_the_node_count():
