@@ -295,9 +295,9 @@ def attention(q, k, v):
     outermost first, going one axis deeper until a block's scores fit
     ``_BLOCK_BYTES``; each block runs the same per-matrix GEMMs and the
     same per-row or per-column reductions as the whole tensor would, so
-    blocking moves no bit.  On plain arrays the op holds one block of
-    scores and one of probabilities at a time; as a tape node it writes
-    every block's probabilities into the full tensor its backward reads.
+    blocking moves no bit.  With or without a tape, the op holds one
+    block's probabilities, and one block's key-major scores while it forms
+    them.
 
     For sequences of up to ``_KEY_MAJOR_MAX`` the scores are laid out
     key-major, ``p[key, ..., query]``, so the softmax's max, exp, sum and
@@ -308,9 +308,14 @@ def attention(q, k, v):
     on a strided operand.  That layout gets its scores from ``k @ qᵀ``,
     which matches ``(q @ kᵀ)ᵀ`` only while BLAS takes its small-matrix
     kernels, so longer sequences keep the composition's row layout and
-    softmax.  The context is written in q's memory order.  As a tape node,
-    its three gradients come from one backward pass per output gradient, in
-    the composition's operand order.
+    softmax.  The context is written in q's memory order.
+
+    As a tape node, its three gradients come from one backward pass per
+    output gradient, in the composition's operand order.  The pass walks
+    the blocks in reverse: the block the forward left in the buffer is
+    used as it is, and every other block's probabilities are computed again
+    by the same code, so a call of one block recomputes nothing.  The
+    gradients are written in the operands' memory order, block by block.
     """
     qv, kv, vv = value_of(q), value_of(k), value_of(v)
     *batch, s_q, _ = qv.shape
@@ -319,42 +324,52 @@ def attention(q, k, v):
     while depth < len(batch) and 8 * s_q * s_k * np.prod(batch[depth:]) > _BLOCK_BYTES:
         depth += 1
     inner = batch[depth:]
-    taped = any(isinstance(x, Tensor) for x in (q, k, v))
-    # the backward reads every probability; without a tape one block will do
-    attn = np.empty((*batch, s_q, s_k) if taped else (*inner, s_q, s_k))
-    out = np.empty_like(qv, shape=(*batch, s_q, vv.shape[-1]))
+    blocks = list(np.ndindex(*batch[:depth]))
+    probs = np.empty((*inner, s_q, s_k))
     qt, kt = np.swapaxes(qv, -1, -2), np.swapaxes(kv, -1, -2)
     key_major = max(s_q, s_k) <= _KEY_MAJOR_MAX
-    if key_major:
-        p = np.empty((s_k, *inner, s_q))
-        p_gemm, p_rows = np.moveaxis(p, 0, -2), np.moveaxis(p, 0, -1)
-    for idx in np.ndindex(*batch[:depth]):
-        probs = attn[idx] if taped else attn
-        if key_major:
-            np.matmul(kv[idx], qt[idx], out=p_gemm)
-            p -= p.max(axis=0)
-            np.exp(p, out=p)
-            p /= _pairwise_sum(p)
-            np.copyto(probs, p_rows)
-        else:
-            np.matmul(qv[idx], kt[idx], out=probs)
-            probs -= np.max(probs, axis=-1, keepdims=True)
-            np.exp(probs, out=probs)
-            probs /= np.sum(probs, axis=-1, keepdims=True)
-        np.matmul(probs, vv[idx], out=out[idx])
+    held = None  # the block whose probabilities ``probs`` holds
+
+    def block(idx):
+        """The probabilities of block ``idx``, in ``probs``."""
+        nonlocal held
+        if held != idx:
+            if key_major:
+                p = np.empty((s_k, *inner, s_q))
+                np.matmul(kv[idx], qt[idx], out=np.moveaxis(p, 0, -2))
+                p -= p.max(axis=0)
+                np.exp(p, out=p)
+                p /= _pairwise_sum(p)
+                np.copyto(probs, np.moveaxis(p, 0, -1))
+            else:
+                np.matmul(qv[idx], kt[idx], out=probs)
+                np.subtract(probs, np.max(probs, axis=-1, keepdims=True), out=probs)
+                np.exp(probs, out=probs)
+                np.divide(probs, np.sum(probs, axis=-1, keepdims=True), out=probs)
+            held = idx
+        return probs
+
+    out = np.empty_like(qv, shape=(*batch, s_q, vv.shape[-1]))
+    for idx in blocks:
+        np.matmul(block(idx), vv[idx], out=out[idx])
 
     cache = {}
 
     def grads_for(g):
         if cache.get("g") is not g:
-            # the softmax gradient (g_attn - Σ g_attn·attn) · attn, formed in
-            # place on g_attn = g vᵀ
-            gs = g @ np.swapaxes(vv, -1, -2)
-            gs -= np.sum(gs * attn, axis=-1, keepdims=True)
-            gs *= attn
+            gq, gk, gv = np.empty_like(qv), np.empty_like(kv), np.empty_like(vv)
+            for idx in reversed(blocks):
+                attn = block(idx)
+                # the softmax gradient (g_attn - Σ g_attn·attn) · attn, formed
+                # in place on g_attn = g vᵀ
+                gs = g[idx] @ np.swapaxes(vv[idx], -1, -2)
+                gs -= np.sum(gs * attn, axis=-1, keepdims=True)
+                gs *= attn
+                gq[idx] = gs @ kv[idx]
+                gk[idx] = np.swapaxes(qt[idx] @ gs, -1, -2)
+                gv[idx] = np.swapaxes(attn, -1, -2) @ g[idx]
             cache.clear()
-            cache.update(g=g, q=gs @ kv, k=np.swapaxes(qt @ gs, -1, -2),
-                         v=np.swapaxes(attn, -1, -2) @ g)
+            cache.update(g=g, q=gq, k=gk, v=gv)
         return cache
 
     return _node(out, (q, k, v), tuple(lambda g, name=name: grads_for(g)[name]

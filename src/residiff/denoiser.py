@@ -38,29 +38,35 @@ __all__ = [
     "masked_mse",
 ]
 
-# Budget for one attention score tensor per denoiser call: one core's L2
-# cache (2 MiB on a 2-core Xeon).  It bounds the working set of each op,
-# whose operands then stay in cache (at 20 nodes, 100-window calls took 1.75x
-# the time per window of 5-window calls), and the probabilities a taped call
-# keeps for its backward.  A tape-free call holds at most one block of
-# ``ad._BLOCK_BYTES`` in scores, whatever its size.
+# Budget for one attention score tensor per tape-free denoiser call: one
+# core's L2 cache (2 MiB on a 2-core Xeon).  It bounds the working set of
+# each op, whose operands then stay in cache (at 20 nodes, 100-window calls
+# took 1.75x the time per window of 5-window calls).  What a tape-free call
+# holds in scores is one block of ``ad._BLOCK_BYTES``, whatever its size; a
+# taped call holds its whole graph, so training splits by that smaller budget.
 _SCORE_BYTES = 2 * 2**20
 
 
-def _windows_per_call(n_nodes: int, n_window: int, head_count: int) -> int:
+def _windows_per_call(n_nodes: int, n_window: int, head_count: int,
+                      budget: int = _SCORE_BYTES) -> int:
     """Windows per denoiser call that keep the larger score tensor, temporal
-    (N, h, L, L) or spatial (L, h, N, N) per window, within _SCORE_BYTES;
+    (N, h, L, L) or spatial (L, h, N, N) per window, within ``budget`` bytes;
     never fewer than one."""
     per_window = 8 * head_count * n_window * n_nodes * max(n_window, n_nodes)
-    return max(1, _SCORE_BYTES // per_window)
+    return max(1, budget // per_window)
 
 
-def call_slices(shape: tuple[int, int, int], head_count: int) -> list[slice]:
+def call_slices(shape: tuple[int, int, int], head_count: int,
+                budget: int = _SCORE_BYTES) -> list[slice]:
     """One slice per denoiser call over a (B, L, N) window batch, each of
-    ``_windows_per_call`` windows; the sampler and the trainer both split
-    their window batches by it."""
+    ``_windows_per_call`` windows for ``budget`` bytes of scores.  The
+    sampler splits by ``_SCORE_BYTES``.  The trainer splits by
+    ``ad._BLOCK_BYTES``, because a taped call holds its whole graph: a call's
+    attention is then one block, which its backward need not recompute,
+    and with 24-step windows and 4 heads a call is one window from 15 nodes
+    up."""
     b, l, n = shape
-    step = _windows_per_call(n, l, head_count)
+    step = _windows_per_call(n, l, head_count, budget)
     return [slice(lo, lo + step) for lo in range(0, b, step)]
 
 

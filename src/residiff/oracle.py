@@ -29,6 +29,7 @@ __all__ = [
     "affine_oracle_predictor",
     "accel_substep_sigma",
     "sampler_pushforward_coeffs",
+    "ancestral_condition_drift",
     "finite_diff_check",
     "einsum2",
     "trainable_fill_reference",
@@ -194,6 +195,23 @@ def sampler_pushforward_coeffs(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return out
+
+
+def ancestral_condition_drift(sched: NoiseSchedule) -> float:
+    """Largest gap, over the steps T..0, between the condition coefficient
+    of the ancestral chain and that of the training marginal, sqrt(alpha_cum_t).
+
+    The chain starts on the marginal at T and runs under the affine oracle
+    predictor.  Its residual coefficient and variance stay on the marginal;
+    its condition coefficient does not, because the posterior's condition
+    term comes from the single-step transition (``compound_marginal_coeffs``).
+    The accelerated chain over every step at eta 1 has no such gap.
+    """
+    root = float(np.sqrt(sched.alpha_cum[sched.T]))
+    init = AffineGaussianState(root, root, 1.0 - float(sched.alpha_cum[sched.T]))
+    states = sampler_pushforward_coeffs(sched, "ancestral", init=init)
+    return max(abs(state.coef_condition - float(np.sqrt(sched.alpha_cum[sched.T - i])))
+               for i, state in enumerate(states))
 
 
 def finite_diff_check(loss_fn, params: dict, step: float = 1e-3) -> dict:

@@ -15,12 +15,16 @@ error.  Gradients flow into the fill through the residual, the condition,
 and L_init unless it is frozen.
 
 The fill runs once per batch and stays one tape node.  The denoiser runs
-over the batch in the calls of ``dn.call_slices``, the sampler's call size,
-so a step's memory follows the call, not the batch.  Each call is
-taped from fresh leaves, with its windows' slice of the fill output as a
-leaf, and differentiated at once: its loss is its share of L_simple (its
-squared error over the batch's target count), its denoiser gradients add up
-over the calls, and its gradient on the fill slice is kept.  One backward
+over the batch in the calls of ``dn.call_slices`` at the budget of one
+attention block, ``ad._BLOCK_BYTES``, smaller than the sampler's because a
+taped call holds its whole graph.  A step's memory follows the call, not
+the batch: on small graphs a call's attention is one block, and on large
+ones a call is one window, whose attention backward recomputes the blocks
+it no longer holds.  Each call is taped from fresh leaves, with its
+windows' slice of the fill output as a leaf, and differentiated at once:
+its loss is its share of L_simple (its squared error over the batch's
+target count), its denoiser gradients add up over the calls, and its
+gradient on the fill slice is kept.  One backward
 through the fill then carries those kept gradients and lambda * L_init into
 the fill's parameters, and one Adam step follows.
 
@@ -356,7 +360,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
         count = target.sum()
 
         ls, grads, d_x = 0.0, {}, np.empty_like(values)
-        for win in dn.call_slices(values.shape, dcfg.head_count):
+        for win in dn.call_slices(values.shape, dcfg.head_count, ad._BLOCK_BYTES):
             x_win = ad.value_of(x_init)[win]
             if train_initial:
                 x_win = ad.Tensor(x_win)

@@ -137,7 +137,9 @@ def test_attention_equals_composition_bit_for_bit(s, dh, layout):
 @pytest.mark.parametrize("s", [24, 129, 300])
 def test_attention_blocks_move_no_bit(s, layout, block_bytes, monkeypatch):
     """A block of one score matrix, or the whole tensor as one block, gives
-    the composition's output and gradients bit for bit, in both layouts."""
+    the composition's output and gradients bit for bit, in both layouts.
+    With one matrix per block the backward recomputes every block's
+    probabilities but the last one's."""
     monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
     shape, perm = ((2, 3, s, 4), None) if layout == "contiguous" else ((2, s, 2, 2, 4), TEMPORAL)
     arrays = {n: rng.standard_normal(shape) for n in "qkv"}
@@ -149,6 +151,28 @@ def test_attention_blocks_move_no_bit(s, layout, block_bytes, monkeypatch):
     assert np.array_equal(out, ref_out)
     for name in "qkv":
         assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2**40], ids=["one_matrix", "one_block"])
+@pytest.mark.parametrize("layout", ["contiguous", "denoiser_views"])
+@pytest.mark.parametrize("s", [24, 129, 300])
+def test_attention_backward_twice_gives_each_gradient_bit_for_bit(s, layout, block_bytes,
+                                                                  monkeypatch):
+    """Two output gradients through one taped op: the second pass finds the
+    block buffer holding the first block, not the last, and recomputes what
+    it needs.  Each pass equals the composition's gradients for its own
+    output gradient."""
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
+    shape, perm = ((2, 3, s, 4), None) if layout == "contiguous" else ((2, s, 2, 2, 4), TEMPORAL)
+    views = [a if perm is None else a.transpose(perm)
+             for a in (rng.standard_normal(shape) for _ in range(3))]
+    node = ad.attention(*(ad.Tensor(a) for a in views)).node
+    for g in (rng.standard_normal(views[0].shape) for _ in range(2)):
+        got = [grad_fn(g) for grad_fn in node.grad_fns]
+        leaves = [ad.Tensor(a) for a in views]
+        ad.sum_(ad.mul(orc.attention_reference(*leaves), g)).backward()
+        for name, grad, leaf in zip("qkv", got, leaves):
+            assert np.array_equal(grad, leaf.grad), name
 
 
 def test_attention_context_keeps_the_query_memory_order():

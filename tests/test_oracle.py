@@ -151,3 +151,11 @@ def test_accel_substep_sigma_consistency():
         assert orc.accel_substep_sigma(sched, t, t - 1) == pytest.approx(
             np.sqrt(sched.beta_tilde[t - 1]), abs=1e-14)
     assert orc.accel_substep_sigma(sched, 5, 0) == 0.0
+
+
+def test_ancestral_condition_drift_on_the_default_schedule():
+    # the chain leaves the marginal by 8.91 near t = 22 on T 50, beta 1e-4 -> 0.2
+    drift = orc.ancestral_condition_drift(build_linear_schedule(50, 1e-4, 0.2))
+    assert round(drift, 2) == 8.91
+    # one step: the single-step transition is the marginal
+    assert orc.ancestral_condition_drift(build_linear_schedule(1, 0.1, 0.1)) < 1e-12

@@ -8,7 +8,7 @@ from residiff import oracle as orc
 from residiff import sampler as sp
 from residiff.errors import ConfigError, NumericError
 from residiff.schedule import build_linear_schedule
-from residiff.trainer import TrainConfig, train_joint
+from residiff.trainer import Checkpoint, TrainConfig, train_joint
 
 S2 = build_linear_schedule(2, 0.1, 0.2)
 
@@ -266,6 +266,56 @@ def test_condition_batch_is_built_once_per_impute(tiny_run, monkeypatch, sampler
         sp.accelerated_impute(ckpt, grid, graph, K=3, S=3, rng=rng)
     first, last = (first_cond[t] for t in (max(first_cond), min(first_cond)))
     assert len(first_cond) > 1 and np.shares_memory(first, last)
+
+
+@pytest.mark.parametrize("sampler", ["ancestral", "accelerated"])
+def test_denoiser_sees_the_fill_on_target_cells_not_the_observations(monkeypatch, sampler):
+    """The refinement stage's information set: the denoiser reads its chain
+    state and the rough fill on target cells, never the visible values.
+    Two series whose visible values differ by a permutation in time, per
+    node and window, share every node_mean fill (small integers, unit
+    stats: every mean is exact), so each denoiser output and each sample on
+    the target cells must agree bit for bit.  Feeding the observations to
+    the denoiser is a change that edits this test."""
+    rng = np.random.default_rng(7)
+    steps, n, window = 48, 5, 24
+    values = rng.integers(-4, 5, size=(steps, n)).astype(np.float64)
+    grid = dt.MaskedGrid(values, np.ones((steps, n), bool), rng.random((steps, n)) < 0.3,
+                         np.arange(steps, dtype=np.float64))
+    permuted, visible = values.copy(), grid.visible_mask
+    for lo in range(0, steps, window):
+        for j in range(n):
+            rows = lo + np.flatnonzero(visible[lo : lo + window, j])
+            permuted[rows, j] = values[rng.permutation(rows), j]
+    other = dataclasses.replace(grid, values=permuted)
+    assert not np.array_equal(other.values[visible], grid.values[visible])
+    adjacency = rng.random((n, n))
+    graph = dt.Graph(np.triu(adjacency, 1) + np.triu(adjacency, 1).T)
+    cfg = TrainConfig(t_steps=5, n_window=window, d=8, head_count=2, strategy="node_mean")
+    ckpt = Checkpoint(denoiser=sp.dn.init_params(cfg.denoiser_config(n), rng), initial={},
+                      stats=dt.NormStats(np.zeros(n), np.ones(n)), config=cfg)
+    target = ~visible
+    fills = [sp.initial_only_impute(ckpt, g, graph) for g in (grid, other)]
+    np.testing.assert_array_equal(fills[0][target], fills[1][target])
+
+    forward, outputs = sp.dn.forward, []
+
+    def spy(*args):
+        outputs[-1].append(forward(*args))
+        return outputs[-1][-1]
+
+    monkeypatch.setattr(sp.dn, "forward", spy)
+    samples = []
+    for g in (grid, other):
+        outputs.append([])
+        rng = np.random.default_rng(3)
+        result = (sp.ancestral_impute(ckpt, g, graph, S=2, rng=rng) if sampler == "ancestral"
+                  else sp.accelerated_impute(ckpt, g, graph, K=3, S=2, rng=rng))
+        samples.append(result.samples[:, target])
+    assert len(outputs[0]) == len(outputs[1]) > 1
+    for a, b in zip(*outputs):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(*samples)
 
 
 def test_windows_per_call_follows_the_node_count():

@@ -508,13 +508,15 @@ def _twenty_node_grid(windows: int):
 
 
 def test_joint_step_sends_each_window_once_within_the_call_size(monkeypatch):
-    # 20 windows of 24 x 20 at 4 heads: batches of 16 and 4, and calls of at
-    # most 5 windows
+    # 20 windows of 24 x 20 at 4 heads: batches of 16 and 4, and taped calls
+    # whose scores fit one attention block: one window at 20 nodes, where the
+    # sampler sends 5, and several on smaller graphs
     grid, graph = _twenty_node_grid(20)
     cfg = tr.TrainConfig(t_steps=4, epochs=1, batch_size=16, n_window=24, d=8,
                          head_count=4, seed=2)
-    per_call = dn._windows_per_call(20, 24, 4)
-    assert per_call == 5
+    per_call = dn._windows_per_call(20, 24, 4, ad._BLOCK_BYTES)
+    assert per_call == 1 and dn._windows_per_call(20, 24, 4) == 5
+    assert dn._windows_per_call(5, 24, 4, ad._BLOCK_BYTES) > 1
     batches, events = [], []
     make_batches, forward, step = tr._batches, dn.forward, tr.Adam.step
 
@@ -546,10 +548,12 @@ def test_joint_step_sends_each_window_once_within_the_call_size(monkeypatch):
 
 
 def test_call_size_moves_denoiser_bits_only(monkeypatch):
-    # One joint step of 16 windows at 20 nodes, in calls of 5, 5, 5 and 1
-    # windows and in one call.  Per-window values and input gradients do not
-    # depend on the split, so the fill trains to the same bytes; the
-    # denoiser's weight gradients sum over the windows in another order.
+    # One joint step of 16 windows at 20 nodes, in 16 taped calls of one
+    # window each and in one call.  Per-window values and input gradients do
+    # not depend on the split, so the fill trains to the same bytes; the
+    # denoiser's weight gradients sum over the windows in another order, and
+    # the one call's attention is worked through in blocks that its backward
+    # recomputes.
     grid, graph = _twenty_node_grid(16)
     cfg = tr.TrainConfig(t_steps=10, epochs=1, batch_size=16, n_window=24, d=32,
                          head_count=4, strategy="trainable", pretrain_epochs=1, seed=0)
