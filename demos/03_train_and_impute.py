@@ -8,7 +8,12 @@ rough fill it started from.
 import numpy as np
 
 from residiff import SynthParams, TrainConfig, mask_point, metrics, synth_generate, train_joint
+from residiff.cli import keep_freed_memory
 from residiff.sampler import ancestral_impute, initial_only_impute
+
+# as the CLI does: keep freed numpy temporaries in the heap, so sampling
+# speed does not depend on what ran earlier in the process
+keep_freed_memory()
 
 # 1. A sensor network: daily-periodic signals on a geometric graph, with
 #    graph-correlated autoregressive noise.  25% of cells become evaluation

@@ -11,7 +11,12 @@ import time
 import numpy as np
 
 from residiff import SynthParams, TrainConfig, mask_point, synth_generate, train_joint
+from residiff.cli import keep_freed_memory
 from residiff.sampler import accelerated_impute, ancestral_impute
+
+# as the CLI does: keep freed numpy temporaries in the heap, so sampling
+# speed does not depend on what ran earlier in the process
+keep_freed_memory()
 
 grid, graph = synth_generate(seed=2, n_nodes=12, n_steps=720, params=SynthParams())
 grid = mask_point(grid, p=0.25, seed=3)

@@ -44,7 +44,6 @@ __all__ = [
     "absolute",
     "tanh",
     "matmul",
-    "softmax",
     "attention",
     "sum_",
     "reshape",
@@ -235,16 +234,6 @@ def matmul(a, b):
                   lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, sb)))
 
 
-def softmax(a, axis: int = -1):
-    av = value_of(a)
-    out = av - np.max(av, axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True)
-    return _node(out, (a,),
-                 (lambda g: (g - np.sum(g * out, axis=axis, keepdims=True)) * out,))
-
-
-_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 # Longest sequence whose scores ``attention`` lays out key-major.  OpenBLAS
 # 0.3.31's SkylakeX kernels give k qᵀ == (q kᵀ)ᵀ bit for bit up to about
 # 192 x 192 scores per matrix and not beyond; the tests hold the op to the
@@ -260,17 +249,13 @@ _BLOCK_BYTES = 512 * 2**10
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the leading axis in the order numpy's pairwise sum takes
     along a contiguous row: ``_pairwise_sum(x)`` equals ``np.sum(y, axis=-1)``
-    bit for bit, where ``y`` is a C-contiguous copy of ``np.moveaxis(x, 0, -1)``.
+    bit for bit, where ``y`` is a C-contiguous copy of ``np.moveaxis(x, 0, -1)``,
+    for the at most ``_KEY_MAJOR_MAX`` (128) terms numpy sums without halving.
 
-    Below 8 terms one running sum; up to 128, eight strided accumulators
-    combined as a tree, then the remainder in order; above that, the same
-    on two halves split at n/2 rounded down to a multiple of 8.
+    Below 8 terms one running sum; otherwise eight strided accumulators
+    combined as a tree, then the remainder in order.
     """
     n = x.shape[0]
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
     if n < 8:
         res = x[0].copy()
         for i in range(1, n):
@@ -376,16 +361,11 @@ def attention(q, k, v):
                                        for name in "qkv"))
 
 
-def sum_(a, axis=None):
+def sum_(a):
+    """The sum of every entry, as a scalar."""
     av = value_of(a)
     shape = av.shape
-
-    def grad(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape).copy()
-
-    return _node(np.sum(av, axis=axis), (a,), (grad,))
+    return _node(np.sum(av), (a,), (lambda g: np.broadcast_to(g, shape).copy(),))
 
 
 def reshape(a, shape):

@@ -11,7 +11,6 @@ error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import json
 import shutil
@@ -350,14 +349,14 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputDir) -> int:
     grid, graph = dt.synth_generate(cfg.seed, cfg.n_nodes, cfg.data_steps, params)
     grid = dt.mask_point(grid, cfg.mask_p, cfg.mask_seed)
 
-    with open(out.file("sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "mae", "mse", "mre"])
-        for name, value, tcfg, k in points:
+    def rows():
+        for _, value, tcfg, k in points:
             result = train_joint(grid, graph, tcfg)
             m = sp.accelerated_impute(result.checkpoint, grid, graph, k, cfg.samples,
                                       np.random.default_rng(cfg.seed), cfg.eta).metrics
-            writer.writerow([name, value, m["mae"], m["mse"], m["mre"]])
+            yield value, m["mae"], m["mse"], m["mre"]
+
+    dt.save_sweep_csv(out.file("sweep.csv"), [name for name, *_ in points], rows())
     return 0
 
 

@@ -11,6 +11,7 @@ CSV formats (all with header rows):
   mask files     time,<node>,...   0/1 entries, same shape as values
   adjacency.csv  node,<node>,...   symmetric nonnegative weights, zero diag
   training logs  step,loss_simple,loss_init,loss_joint   one row per step
+  sweep tables   parameter,value,mae,mse,mre   one row per grid point
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "save_mask_csv",
     "save_adjacency_csv",
     "save_log_csv",
+    "save_sweep_csv",
     "save_json",
     "synth_generate",
     "SynthParams",
@@ -250,6 +252,12 @@ def save_log_csv(path, log):
     """Write a training log's rows of (step, loss_simple, loss_init, loss_joint)."""
     _write_table(path, "step", ("loss_simple", "loss_init", "loss_joint"),
                  [row[0] for row in log], ([repr(x) for x in row[1:]] for row in log))
+
+
+def save_sweep_csv(path, parameters, rows):
+    """Write a sweep's rows of (value, mae, mse, mre), one per swept
+    parameter, each as soon as ``rows`` yields it."""
+    _write_table(path, "parameter", ("value", "mae", "mse", "mre"), parameters, rows)
 
 
 def save_json(path, obj):

@@ -33,6 +33,7 @@ __all__ = [
     "finite_diff_check",
     "einsum2",
     "trainable_fill_reference",
+    "softmax",
     "attention_reference",
     "ddpm_q_sample",
     "ddpm_posterior_mean_z0",
@@ -308,6 +309,16 @@ def trainable_fill_reference(p, values, visible, mix):
     return ad.add(x_obs, ad.mul(x_hat, 1.0 - vis))
 
 
+def softmax(a):
+    """Softmax over the last axis as a tape op, for the attention reference."""
+    av = ad.value_of(a)
+    out = av - np.max(av, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return ad._node(out, (a,),
+                    (lambda g: (g - np.sum(g * out, axis=-1, keepdims=True)) * out,))
+
+
 def attention_reference(q, k, v):
     """softmax(q kᵀ) v composed from the tape's elementary ops.
 
@@ -319,7 +330,7 @@ def attention_reference(q, k, v):
     nd = np.ndim(ad.value_of(k))
     axes = (*range(nd - 2), nd - 1, nd - 2)
     scores = ad.matmul(q, ad.transpose(k, axes))
-    return ad.matmul(ad.softmax(scores, axis=-1), v)
+    return ad.matmul(softmax(scores), v)
 
 
 # --- independent plain-DDPM reference (condition identically zero) ---------

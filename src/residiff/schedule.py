@@ -62,9 +62,9 @@ class NoiseSchedule:
 def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linear interpolation between the minimum and maximum noise levels.
 
-    beta[t] = beta_min + (t-1)/(T-1) * (beta_max - beta_min); for T = 1 the
-    schedule is the single value beta_min, and beta_max only has to pass the
-    range check.
+    beta[t] = beta_min + (t-1)/(T-1) * (beta_max - beta_min); for T = 1
+    ``np.linspace`` gives the single value beta_min, and beta_max only has
+    to pass the range check.
     """
     if T < 1:
         raise ConfigError(f"step count must be >= 1, got {T}")
@@ -72,9 +72,5 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
         raise ConfigError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})"
         )
-    if T == 1:
-        beta = np.array([beta_min], dtype=np.float64)
-    else:
-        beta = np.linspace(beta_min, beta_max, T, dtype=np.float64)
-    return NoiseSchedule.from_beta(beta)
+    return NoiseSchedule.from_beta(np.linspace(beta_min, beta_max, T, dtype=np.float64))
 

@@ -221,12 +221,12 @@ class TrainResult:
 class Adam:
     """Standard adaptive first-order optimizer over a dict of arrays."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(arr) for n, arr in params.items()}
         self.v = {n: np.zeros_like(arr) for n, arr in params.items()}
@@ -320,8 +320,7 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
     return params, losses
 
 
-def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
-                rng: np.random.Generator | None = None) -> TrainResult:
+def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig) -> TrainResult:
     """Run the full two-stage training loop and return a checkpoint."""
     if not grid.observed_mask.any():
         raise DataError("training data has no observed cells")
@@ -330,8 +329,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
         # run zero steps and write an untrained checkpoint
         raise DataError("mask mode in_sample trains on the eval cells, "
                         "and the training data has none")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
 
     grid_n, stats = dt.normalize(grid)
     sched = config.schedule()

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from residiff import autodiff as ad
+from residiff import data as dt
 from residiff import oracle as orc
+from residiff import sampler as sp
+from residiff import trainer as tr
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -90,10 +93,10 @@ def test_einsum2_grads():
 
 def test_softmax_rows_sum_to_one_and_grads():
     x = rng.standard_normal((3, 5))
-    out = ad.softmax(x, axis=-1)
+    out = orc.softmax(x)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
     w = rng.standard_normal((3, 5))
-    check_op(lambda t: ad.sum_(ad.mul(ad.softmax(t, axis=-1), w)),
+    check_op(lambda t: ad.sum_(ad.mul(orc.softmax(t), w)),
              rng.standard_normal((3, 5)))
 
 
@@ -191,14 +194,10 @@ def test_attention_passes_finite_differences():
 
 
 def test_pairwise_sum_matches_numpy_sum_for_every_length():
-    for n in range(1, 301):
+    # the key-major layout sums at most _KEY_MAJOR_MAX keys
+    for n in range(1, ad._KEY_MAJOR_MAX + 1):
         x = rng.standard_normal((n, 5))
         assert np.array_equal(ad._pairwise_sum(x), np.sum(np.ascontiguousarray(x.T), axis=-1)), n
-
-
-def test_sum_axis():
-    check_op(lambda t: ad.sum_(ad.mul(ad.sum_(t, axis=1), np.array([1.0, -2.0, 3.0]))),
-             rng.standard_normal((3, 4)))
 
 
 def test_reshape_transpose():
@@ -235,7 +234,7 @@ def test_stack_last():
 def test_plain_arrays_bypass_tape():
     out = ad.add(np.ones(3), np.ones(3))
     assert isinstance(out, np.ndarray)
-    out = ad.softmax(np.zeros((2, 2)))
+    out = orc.softmax(np.zeros((2, 2)))
     assert isinstance(out, np.ndarray)
     out = ad.attention(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))
     assert isinstance(out, np.ndarray)
@@ -343,7 +342,7 @@ def test_value_a_gradient_reads_lives_with_the_graph(no_gc):
     lambda a, b: ad.add(a, b),
     lambda a, b: ad.sub(a, b),
     lambda a, b: ad.reshape(a, (6,)),
-    lambda a, b: ad.sum_(a, axis=0),
+    lambda a, b: ad.sum_(a),
     lambda a, b: ad.index(a, (slice(None), 1)),
 ], ids=["add", "sub", "reshape", "sum_", "index"])
 def test_shape_only_gradients_hold_no_operand(build):
@@ -358,3 +357,25 @@ def test_each_operand_gradient_holds_only_the_other_operand(op):
     grad_a, grad_b = op(a, b).node.grad_fns
     assert [id(x) for x in _closure_arrays(grad_a)] == [id(b.value)]
     assert [id(x) for x in _closure_arrays(grad_b)] == [id(a.value)]
+
+
+def test_the_program_calls_every_tape_op(monkeypatch):
+    # one taped joint step and one tape-free impute reach every op the tape
+    # exports, so autodiff keeps no op that only the oracle or the tests
+    # call; the spies replace the module's names, so Tensor.__getitem__
+    # counts as index
+    ops = set(ad.__all__) - {"Tensor", "value_of", "leaves", "grads"}
+    called = set()
+    for name in ops:
+        def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
+            called.add(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(ad, name, spy)
+    grid, graph = dt.synth_generate(1, 6, 48, dt.SynthParams())
+    grid = dt.mask_point(grid, 0.3, seed=1)
+    cfg = tr.TrainConfig(t_steps=3, epochs=1, batch_size=2, n_window=24, d=8,
+                         head_count=2, strategy="trainable", pretrain_epochs=0, seed=0)
+    result = tr.train_joint(grid, graph, cfg)
+    assert len(result.log) == 1
+    sp.ancestral_impute(result.checkpoint, grid, graph, 1, np.random.default_rng(0))
+    assert called == ops, sorted(ops - called)

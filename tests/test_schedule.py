@@ -18,6 +18,8 @@ def test_single_step_schedule():
     np.testing.assert_allclose(s.beta, [0.3])
     assert s.alpha_cum[1] == 1.0 - 0.3
     assert s.beta_tilde[0] == 0.0
+    # one step takes beta_min, whatever beta_max is
+    assert np.array_equal(build_linear_schedule(1, 0.1, 0.3).beta, [0.1])
 
 
 def test_two_step_derived_values():
