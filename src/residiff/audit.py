@@ -202,7 +202,8 @@ def _ancestral_pushforward(rng):
     worst_var_sig = 0.0
     for i, t in enumerate(range(sched.T, 0, -1)):
         eps_hat = predictor(z, None, t)
-        z = sp.ancestral_step(z, np.full(n, z0c), t, eps_hat, sched, rng)
+        noise = rng.standard_normal(n) if t > 1 else None
+        z = sp.ancestral_step(z, np.full(n, z0c), t, eps_hat, sched, noise)
         ref = states[i + 1]
         se = max(np.sqrt(ref.noise_var / n), 1e-12)
         worst_mean = max(worst_mean, abs(float(z.mean()) - ref.mean(z0m, z0c)) / max(4 * se, 1e-8))

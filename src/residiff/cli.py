@@ -15,7 +15,6 @@ import ctypes
 import json
 import shutil
 import sys
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -27,10 +26,8 @@ from . import sampler as sp
 from .audit import run_audits
 from .errors import ConfigError, DataError, NumericError
 from .trainer import (
-    Checkpoint,
     TrainConfig,
     load_checkpoint,
-    pretrain_initial,
     save_checkpoint,
     train_joint,
 )
@@ -219,23 +216,14 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 def _cmd_pretrain(cfg: RunConfig, out: _OutputDir) -> int:
     grid, graph = _load_dataset(cfg)
     tcfg = _train_config(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    grid_n, stats = dt.normalize(grid)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        initial, losses = pretrain_initial(grid_n, graph, tcfg, rng)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    from . import denoiser as dn
-
-    ckpt = Checkpoint(
-        denoiser=dn.init_params(tcfg.denoiser_config(grid.shape[1]), rng),
-        initial=initial, stats=stats, config=tcfg,
-    )
-    save_checkpoint(ckpt, out.file("checkpoint.bin"))
+    # pretraining draws its targets out of sample whatever the mask mode
+    result = train_joint(grid, graph, replace(tcfg, epochs=0, mask_mode="out_of_sample"))
+    if tcfg.strategy != "trainable":
+        print(f"warning: strategy {tcfg.strategy!r} has no trainable parameters", file=sys.stderr)
+    save_checkpoint(replace(result.checkpoint, config=tcfg), out.file("checkpoint.bin"))
     out.file("checkpoint.bin.json")
     dt.save_log_csv(out.file("pretrain_log.csv"),
-                    [(i, x, x, x) for i, x in enumerate(losses)])
+                    [(i, x, x, x) for i, x in enumerate(result.pretrain_log)])
     return 0
 
 
@@ -299,9 +287,11 @@ def _cmd_eval(cfg: RunConfig, out: _OutputDir) -> int:
     med_path = Path(cfg.imputed) / "median.csv"
     if not med_path.exists():
         raise DataError(f"{med_path} not found")
-    median, _, _ = dt.load_values_csv(med_path)
+    median, timestamps, node_ids = dt.load_values_csv(med_path)
     if median.shape != grid.shape:
         raise DataError("imputed grid shape does not match dataset")
+    if node_ids != grid.node_ids or not np.array_equal(timestamps, grid.timestamps):
+        raise DataError(f"{med_path} does not share the dataset's node ids and timestamps")
     scores = dt.metrics(median, grid.values, grid.eval_mask)
     dt.save_json(out.file("metrics.json"), scores)
     print(json.dumps(scores, sort_keys=True))

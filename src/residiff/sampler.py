@@ -83,15 +83,16 @@ def substep_noise_std(sched: NoiseSchedule, t: int, t_prev: int, eta: float = 1.
     return float(eta) * float(np.sqrt(var))
 
 
-def ancestral_step(z_t, z0c, t: int, net_out, sched: NoiseSchedule,
-                   rng: np.random.Generator | None = None,
-                   target_mask=None, noise=None, predict_x0: bool = False):
+def ancestral_step(z_t, z0c, t: int, net_out, sched: NoiseSchedule, noise=None,
+                   target_mask=None, predict_x0: bool = False):
     """One reverse transition; adds posterior-std noise except at t = 1.
 
     ``net_out`` is the noise estimate, or the clean residual when
     ``predict_x0`` is set; the posterior mean then takes its moment form.
-    Noise is drawn from ``rng`` only when it is needed and not given.
+    The caller draws ``noise`` (DDPM's Algorithm 2); t > 1 needs it, t = 1 ignores it.
     """
+    if t > 1 and noise is None:
+        raise ValueError(f"ancestral step {t} adds noise but was given none")
     maskf = None if target_mask is None else np.asarray(target_mask, dtype=np.float64)
     if predict_x0:
         z0m = net_out if maskf is None else net_out * maskf
@@ -101,8 +102,6 @@ def ancestral_step(z_t, z0c, t: int, net_out, sched: NoiseSchedule,
     if t == 1:
         return mean
     sigma = float(np.sqrt(sched.beta_tilde[t - 1]))
-    if noise is None:
-        noise = rng.standard_normal(np.shape(mean))
     if maskf is not None:
         noise = noise * maskf
     return mean + sigma * noise
@@ -227,8 +226,7 @@ class _SamplerSetup:
         with is subtracted here, so the imputation is fill - sign * residual.
         """
         imput_norm = self.x_init_eff - self.sign * (terminal - self.z0c_chain)
-        full = np.where(self.visible, self.values_norm, imput_norm)
-        samples = np.where(self.visible, self.x.values, dt.denormalize(full, self.stats))
+        samples = np.where(self.visible, self.x.values, dt.denormalize(imput_norm, self.stats))
         median = np.median(samples, axis=0)
         q_low, q_high = (np.quantile(samples, q, axis=0) for q in Q_LEVELS)
         scores = (dt.metrics(median, self.x.values, self.x.eval_mask)
@@ -246,9 +244,7 @@ def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph) -> np.nda
     setup = _SamplerSetup(checkpoint, x, graph)
     # the condition is the rough fill on every non-visible cell, whatever
     # the ablation flags
-    full = np.where(setup.visible, setup.values_norm, setup.z0c)
-    denorm = dt.denormalize(full, setup.stats)
-    return np.where(setup.visible, x.values, denorm)
+    return np.where(setup.visible, x.values, dt.denormalize(setup.z0c, setup.stats))
 
 
 def _sample_rngs(rng: np.random.Generator, s_count: int) -> list[np.random.Generator]:

@@ -5,7 +5,8 @@ is the single-step signal retention 1 - beta_t, and ``alpha_cum[t]`` is the
 cumulative product of the steps with ``alpha_cum[0] = 1``.  The posterior
 variance ``beta_tilde[t] = (1 - alpha_cum[t-1]) * beta_t / (1 - alpha_cum[t])``
 is zero at t = 1 because alpha_cum[0] = 1; callers never need to special-case
-the first step.
+the first step.  ``build_linear_schedule`` is the one builder; its range
+check puts every beta in (0, 1), and the rest holds by construction.
 """
 
 from __future__ import annotations
@@ -34,30 +35,6 @@ class NoiseSchedule:
     alpha_cum: np.ndarray
     beta_tilde: np.ndarray
 
-    def __post_init__(self):
-        if self.T < 1:
-            raise ConfigError(f"step count must be >= 1, got {self.T}")
-        if self.beta.shape != (self.T,):
-            raise ConfigError("beta must have length T")
-        if np.any(self.beta <= 0.0) or np.any(self.beta >= 1.0):
-            raise ConfigError("beta values must lie strictly in (0, 1)")
-        if self.alpha_cum.shape != (self.T + 1,) or self.alpha_cum[0] != 1.0:
-            raise ConfigError("alpha_cum must have length T+1 with alpha_cum[0] = 1")
-
-    @classmethod
-    def from_beta(cls, beta: np.ndarray) -> "NoiseSchedule":
-        beta = np.asarray(beta, dtype=np.float64)
-        alpha_step = 1.0 - beta
-        alpha_cum = np.concatenate(([1.0], np.cumprod(alpha_step)))
-        beta_tilde = (1.0 - alpha_cum[:-1]) * beta / (1.0 - alpha_cum[1:])
-        return cls(
-            T=beta.shape[0],
-            beta=beta,
-            alpha_step=alpha_step,
-            alpha_cum=alpha_cum,
-            beta_tilde=beta_tilde,
-        )
-
 
 def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linear interpolation between the minimum and maximum noise levels.
@@ -72,5 +49,9 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
         raise ConfigError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})"
         )
-    return NoiseSchedule.from_beta(np.linspace(beta_min, beta_max, T, dtype=np.float64))
+    beta = np.linspace(beta_min, beta_max, T, dtype=np.float64)
+    alpha_step = 1.0 - beta
+    alpha_cum = np.concatenate(([1.0], np.cumprod(alpha_step)))
+    beta_tilde = (1.0 - alpha_cum[:-1]) * beta / (1.0 - alpha_cum[1:])
+    return NoiseSchedule(T, beta, alpha_step, alpha_cum, beta_tilde)
 

@@ -4,7 +4,8 @@ One batch generator serves pretraining and joint training: windows are cut
 at random offsets, artificial targets are drawn from the visible cells
 (out-of-sample mode; always so in pretraining) or taken from the dataset's
 annotated targets (in-sample mode), and a window is kept if it has a target
-and a visible cell.  Pretraining fits the trainable fill alone on L_init.
+and a visible cell.  Pretraining fits the trainable fill alone on L_init;
+with no joint epochs, ``train_joint`` is the ``pretrain`` command.
 Per joint batch, the rough fill produces the residual target and condition,
 a diffusion step and noise are drawn, and one Adam step is taken on
 
@@ -51,7 +52,6 @@ import json
 import math
 import numbers
 import struct
-import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -216,6 +216,7 @@ class Checkpoint:
 class TrainResult:
     checkpoint: Checkpoint
     log: list  # rows of (step, loss_simple, loss_init, loss_joint)
+    pretrain_log: list  # the rough fill's pretraining loss per step
 
 
 class Adam:
@@ -297,11 +298,10 @@ def pretrain_initial(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig,
                      rng: np.random.Generator) -> tuple[dict, list]:
     """Fit the trainable rough fill on re-masked batches.
 
-    No-op (with a warning) for parameterless strategies; skipped when the
+    A no-op that draws nothing for parameterless strategies; skipped when the
     config says so.  Returns the fill's arrays and the per-step loss trace.
     """
     if config.strategy != "trainable":
-        warnings.warn(f"strategy {config.strategy!r} has no trainable parameters")
         return {}, []
     params = ini.init_trainable_params(config.init_hidden, rng)
     if config.skip_pretrain:
@@ -333,9 +333,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig) -> Tr
 
     grid_n, stats = dt.normalize(grid)
     sched = config.schedule()
-    initial = {}
-    if config.strategy == "trainable":
-        initial, _ = pretrain_initial(grid_n, graph, config, rng)
+    initial, pretrain_log = pretrain_initial(grid_n, graph, config, rng)
 
     dcfg = config.denoiser_config(grid.shape[1])
     dparams = dn.init_params(dcfg, rng)
@@ -396,7 +394,7 @@ def train_joint(grid: dt.MaskedGrid, graph: dt.Graph, config: TrainConfig) -> Tr
         log.append((step, ls, li, lj))
 
     ckpt = Checkpoint(denoiser=dparams, initial=initial, stats=stats, config=config)
-    return TrainResult(checkpoint=ckpt, log=log)
+    return TrainResult(checkpoint=ckpt, log=log, pretrain_log=pretrain_log)
 
 
 # --------------------------------------------------------------------------

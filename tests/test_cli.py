@@ -300,6 +300,29 @@ def test_eval_of_an_imputation_with_blank_evaluation_cells_exits_3(pipeline, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("misaligned", ["swapped_nodes", "shifted_time"])
+def test_eval_of_an_imputation_of_other_nodes_or_times_exits_3(pipeline, tmp_path, capsys,
+                                                               misaligned):
+    # a median.csv of the right shape that does not line up with the dataset
+    from residiff import data as dt
+
+    _, _, dsm, _ = pipeline
+    values, stamps, ids = dt.load_values_csv(dsm / "values.csv")
+    values = np.nan_to_num(values)
+    if misaligned == "swapped_nodes":  # first two columns swapped, header included
+        order = [1, 0, *range(2, len(ids))]
+        values, ids = values[:, order], [ids[i] for i in order]
+    else:  # the same length of series, one step later
+        values, stamps = np.roll(values, -1, axis=0), stamps + (stamps[1] - stamps[0])
+    imp = tmp_path / "imp"
+    imp.mkdir()
+    dt.save_values_csv(imp / "median.csv", values, stamps, ids)
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", str(dsm), "--imputed", str(imp), "--out", str(out)]) == 3
+    assert "node ids and timestamps" in _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
 def test_config_file_with_overrides(pipeline, tmp_path):
     _, _, dsm, _ = pipeline
     cfg_path = tmp_path / "cfg.json"
@@ -506,6 +529,45 @@ def test_in_sample_training_without_eval_cells_exits_3(pipeline, tmp_path, capsy
     assert main(["train", "--data", str(ds), "--out", str(out), *FAST_TRAIN,
                  "--mask-mode", "in_sample"]) == 3
     assert "eval cells" in _one_line_error(capsys, "data error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["trainable", "node_mean"])
+def test_pretrain_is_train_with_no_joint_epochs(pipeline, tmp_path, capsys, strategy):
+    _, _, dsm, _ = pipeline
+    flags = ["--data", str(dsm), *FAST_TRAIN, "--strategy", strategy, "--init-hidden", "4",
+             "--pretrain-epochs", "2", "--seed", "7"]
+    pre, train = tmp_path / "pre", tmp_path / "train"
+    assert main(["pretrain", "--out", str(pre), *flags]) == 0
+    err = capsys.readouterr().err.splitlines()
+    if strategy == "trainable":
+        assert err == []
+    else:
+        assert len(err) == 1 and err[0].startswith("warning: ") and strategy in err[0], err
+    assert main(["train", "--out", str(train), *flags, "--epochs", "0"]) == 0
+    ckpt = "checkpoint.bin"
+    assert (pre / ckpt).read_bytes() == (train / ckpt).read_bytes()
+    pre_side, train_side = (json.loads((d / f"{ckpt}.json").read_text()) for d in (pre, train))
+    assert pre_side["config"].pop("epochs") == 2 and train_side["config"].pop("epochs") == 0
+    assert pre_side == train_side
+
+
+def test_pretrain_without_observed_cells_exits_3(pipeline, tmp_path, capsys):
+    from residiff import data as dt
+
+    _, _, dsm, _ = pipeline
+    values, stamps, ids = dt.load_values_csv(dsm / "values.csv")
+    none = np.zeros(values.shape, dtype=bool)
+    blank = tmp_path / "blank"
+    blank.mkdir()
+    dt.save_values_csv(blank / "values.csv", values, stamps, ids, none)
+    for name in ("observed_mask.csv", "eval_mask.csv"):
+        dt.save_mask_csv(blank / name, none, stamps, ids)
+    (blank / "adjacency.csv").write_bytes((dsm / "adjacency.csv").read_bytes())
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--data", str(blank), "--out", str(out), *FAST_TRAIN,
+                 "--strategy", "trainable", "--init-hidden", "4"]) == 3
+    assert "no observed cells" in _one_line_error(capsys, "data error:")
     assert not out.exists()
 
 
@@ -725,13 +787,11 @@ def test_impute_peak_rss_at_207_nodes(tmp_path):
                                    ("--beta-min", "0")])
 def test_bad_denoiser_shape_exits_2_before_pretraining(pipeline, tmp_path, capsys,
                                                        monkeypatch, command, flags):
-    from residiff import cli
     from residiff import trainer as tr
 
     _, _, dsm, _ = pipeline
     ran = []
-    for module in (cli, tr):
-        monkeypatch.setattr(module, "pretrain_initial", lambda *a: ran.append(a))
+    monkeypatch.setattr(tr, "pretrain_initial", lambda *a: ran.append(a))
     out = tmp_path / "run"
     assert main([command, "--data", str(dsm), "--out", str(out), *FAST_TRAIN,
                  "--strategy", "trainable", "--pretrain-epochs", "30", *flags]) == 2
@@ -823,6 +883,7 @@ def test_artifact_formats(pipeline, tmp_path):
     # newline; both loss logs share one header and write losses with repr
     from residiff import cli
     from residiff import data as dt
+    from residiff import trainer as tr
 
     _, ds, dsm, run = pipeline
     pre, imp, ev, ver = (tmp_path / name for name in ("pre", "imp", "ev", "ver"))
@@ -845,7 +906,7 @@ def test_artifact_formats(pipeline, tmp_path):
     assert header == (run / "train_log.csv").read_text().splitlines()[0]
     cfg = cli.RunConfig(**json.loads((pre / "config.json").read_text()))
     grid, graph = cli._load_dataset(cfg)
-    _, losses = cli.pretrain_initial(dt.normalize(grid)[0], graph, cli._train_config(cfg),
-                                     np.random.default_rng(cfg.seed))
+    _, losses = tr.pretrain_initial(dt.normalize(grid)[0], graph, cli._train_config(cfg),
+                                    np.random.default_rng(cfg.seed))
     assert len(losses) > 0
     assert rows == [f"{i},{x!r},{x!r},{x!r}" for i, x in enumerate(losses)]

@@ -17,9 +17,16 @@ def test_ancestral_step_no_noise_at_final_step():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(8)
     eps_hat = rng.standard_normal(8)
-    a = sp.ancestral_step(z, np.zeros(8), 1, eps_hat, S2, np.random.default_rng(1))
-    b = sp.ancestral_step(z, np.zeros(8), 1, eps_hat, S2, np.random.default_rng(2))
-    np.testing.assert_array_equal(a, b)  # rng unused at t = 1
+    a = sp.ancestral_step(z, np.zeros(8), 1, eps_hat, S2, rng.standard_normal(8))
+    b = sp.ancestral_step(z, np.zeros(8), 1, eps_hat, S2, rng.standard_normal(8))
+    np.testing.assert_array_equal(a, b)  # noise unused at t = 1
+    np.testing.assert_array_equal(a, sp.ancestral_step(z, np.zeros(8), 1, eps_hat, S2))
+
+
+def test_ancestral_step_needs_noise_before_the_final_step():
+    z = np.zeros(4)
+    with pytest.raises(ValueError, match="noise"):
+        sp.ancestral_step(z, z, 2, z, S2)
 
 
 def test_ancestral_step_unconditional_reduction():
@@ -42,7 +49,8 @@ def test_ancestral_chain_matches_pushforward_recursion():
     states = orc.sampler_pushforward_coeffs(sched, "ancestral")
     z = rng.standard_normal(n)
     for i, t in enumerate(range(5, 0, -1)):
-        z = sp.ancestral_step(z, np.full(n, z0c), t, predictor(z, None, t), sched, rng)
+        noise = rng.standard_normal(n) if t > 1 else None
+        z = sp.ancestral_step(z, np.full(n, z0c), t, predictor(z, None, t), sched, noise)
         ref = states[i + 1]
         if ref.noise_var > 0:
             se = np.sqrt(ref.noise_var / n)

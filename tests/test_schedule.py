@@ -56,7 +56,10 @@ def test_identities_randomized(T):
 
 
 @pytest.mark.parametrize("args", [(0, 0.1, 0.2), (5, 0.0, 0.2), (5, 0.3, 0.2),
-                                  (5, 0.1, 1.0), (5, -0.1, 0.2)])
+                                  (5, 0.1, 1.0), (5, -0.1, 0.2),
+                                  (5, float("nan"), 0.2), (5, 0.1, float("nan")),
+                                  (5, 0.1, float("inf")), (5, float("-inf"), 0.2),
+                                  (5, float("inf"), float("inf"))])
 def test_builder_rejects_bad_config(args):
     with pytest.raises(ConfigError):
         build_linear_schedule(*args)

@@ -62,9 +62,13 @@ def test_residual_sign_convention():
 def test_pretrain_noop_for_parameterless_strategy(tiny_data):
     grid, graph = tiny_data
     cfg = tr.TrainConfig(strategy="node_mean", **FAST)
-    with pytest.warns(UserWarning):
-        params, losses = tr.pretrain_initial(grid, graph, cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI names the strategy, not the library
+        params, losses = tr.pretrain_initial(grid, graph, cfg, rng)
     assert params == {} and losses == []
+    # and nothing was drawn
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
 
 def test_pretrain_skip_returns_initialization(tiny_data):
