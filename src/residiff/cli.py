@@ -220,7 +220,9 @@ def _cmd_pretrain(cfg: RunConfig, out: _OutputDir) -> int:
     result = train_joint(grid, graph, replace(tcfg, epochs=0, mask_mode="out_of_sample"))
     if tcfg.strategy != "trainable":
         print(f"warning: strategy {tcfg.strategy!r} has no trainable parameters", file=sys.stderr)
-    save_checkpoint(replace(result.checkpoint, config=tcfg), out.file("checkpoint.bin"))
+    # the sidecar echoes the given config and the joint epochs that ran: none
+    save_checkpoint(replace(result.checkpoint, config=replace(tcfg, epochs=0)),
+                    out.file("checkpoint.bin"))
     out.file("checkpoint.bin.json")
     dt.save_log_csv(out.file("pretrain_log.csv"),
                     [(i, x, x, x) for i, x in enumerate(result.pretrain_log)])

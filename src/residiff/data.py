@@ -12,13 +12,20 @@ CSV formats (all with header rows):
   adjacency.csv  node,<node>,...   symmetric nonnegative weights, zero diag
   training logs  step,loss_simple,loss_init,loss_joint   one row per step
   sweep tables   parameter,value,mae,mse,mre   one row per grid point
+
+Tables are read through a text stream one record at a time, straight into
+float64 arrays, so a load never holds a whole file as text.  The first bad
+record is the one reported, by record: a ragged row, a cell that is not a
+number, a field over the csv module's limit.  Bytes that are not UTF-8 are
+reported by physical line, as soon as the stream's read buffer reaches them,
+so they win over a record fault a few kilobytes before them.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,41 +136,48 @@ def _parse_timestamp(token: str) -> float:
             raise DataError(f"unparseable timestamp {token!r}") from exc
 
 
-def _read_table(path, kind: str):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{kind} file {path}: line {line} is not UTF-8 text") from None
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if len(rows) < 2:
-        raise DataError(f"{kind} file {path} needs a header and data rows")
-    header = rows[0]
-    width = len(header)
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise DataError(f"{kind} file {path}: ragged row at line {i}")
-    return header, rows[1:]
+def _read_table(path, kind: str, blank: float | None = None, label=None):
+    """Read a CSV table one record at a time: (header, cells, labels).
 
-
-def _numbers(rows, path, kind: str, blank: float | None = None) -> np.ndarray:
-    """The cells after each row's label as floats.
-
-    An empty cell reads as ``blank``; without one, it is an error like any
-    other cell that is not a number.
+    ``cells`` holds the cells after each record's first as float64, one row
+    per record; an empty cell reads as ``blank``, and without one it is an
+    error like any other cell that is not a number.  ``labels`` holds each
+    record's first cell through ``label``, or is None without one.  Only
+    one record's text is held at a time; the first bad record is reported.
     """
-    out = np.empty((len(rows), len(rows[0]) - 1))
-    for i, row in enumerate(rows):
-        for j, tok in enumerate(row[1:]):
-            tok = tok.strip()
-            try:
-                out[i, j] = blank if blank is not None and not tok else float(tok)
-            except ValueError:
-                raise DataError(f"{kind} file {path}: {tok!r} at line {i + 2} "
-                                "is not a number") from None
-    return out
+    cells, labels = array("d"), array("d")
+    header, records = None, 0
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for records, row in enumerate(csv.reader(fh), start=1):
+                if header is None:
+                    header = row
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{kind} file {path}: ragged row at line {records}")
+                if label is not None:
+                    labels.append(label(row[0]))
+                for tok in row[1:]:
+                    tok = tok.strip()
+                    try:
+                        cells.append(blank if blank is not None and not tok else float(tok))
+                    except ValueError:
+                        raise DataError(f"{kind} file {path}: {tok!r} at line {records} "
+                                        "is not a number") from None
+    except csv.Error as exc:
+        raise DataError(f"{kind} file {path}: {exc} at line {records + 1}") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise DataError(f"{kind} file {path}: line {line} is not UTF-8 text") from None
+        raise
+    if records < 2 or not header:
+        raise DataError(f"{kind} file {path} needs a header and data rows")
+    grid = np.frombuffer(cells, dtype=np.float64).reshape(records - 1, len(header) - 1)
+    return header, grid, (np.frombuffer(labels) if label is not None else None)
 
 
 def load_csv(values_path, adjacency_path, mask_path=None,
@@ -183,12 +197,10 @@ def load_csv(values_path, adjacency_path, mask_path=None,
         eval_mask = _load_mask(eval_mask_path, (L, n)) & observed
     values = np.where(np.isfinite(values), values, 0.0)
 
-    a_header, a_rows = _read_table(adjacency_path, "adjacency")
-    if len(a_header) - 1 != n or len(a_rows) != n:
-        raise DataError(
-            f"adjacency shape {len(a_rows)}x{len(a_header) - 1} does not match {n} nodes"
-        )
-    adj = _numbers(a_rows, adjacency_path, "adjacency")
+    _, adj, _ = _read_table(adjacency_path, "adjacency")
+    if adj.shape != (n, n):
+        raise DataError(f"adjacency shape {adj.shape[0]}x{adj.shape[1]} "
+                        f"does not match {n} nodes")
 
     grid = MaskedGrid(
         values=values,
@@ -202,14 +214,13 @@ def load_csv(values_path, adjacency_path, mask_path=None,
 
 def load_values_csv(path):
     """Read a values table alone: (values, timestamps, node_ids); NaN kept."""
-    header, rows = _read_table(path, "values")
-    timestamps = np.array([_parse_timestamp(row[0]) for row in rows])
-    return _numbers(rows, path, "values", blank=np.nan), timestamps, header[1:]
+    header, values, timestamps = _read_table(path, "values", blank=np.nan,
+                                             label=_parse_timestamp)
+    return values, timestamps, header[1:]
 
 
 def _load_mask(path, shape) -> np.ndarray:
-    _, rows = _read_table(path, "mask")
-    mask = _numbers(rows, path, "mask")
+    _, mask, _ = _read_table(path, "mask")
     if mask.shape != shape:
         raise DataError(f"mask shape {mask.shape} does not match values {shape}")
     return mask != 0.0
