@@ -14,11 +14,7 @@ is kept for exactly this comparison.
 
 import json
 
-import numpy as np
-
-from residiff import build_linear_schedule
 from residiff.audit import run_audits
-from residiff.oracle import compound_marginal_coeffs
 
 report = run_audits(seed=0)
 for audit in report["audits"]:
@@ -28,13 +24,12 @@ for audit in report["audits"]:
 print("all audits pass:", report["all_pass"])
 
 print("\ncondition-coefficient gap, single-step chain vs closed-form marginal:")
-sched = build_linear_schedule(5, 0.1, 0.3)
+(gap_audit,) = (a for a in report["audits"]
+                if a["name"] == "compound_marginal_residual_and_variance")
 print("  t   compounded   closed-form   gap")
-for t in range(1, 6):
-    state = compound_marginal_coeffs(sched, t)
-    closed = float(np.sqrt(sched.alpha_cum[t]))
-    print(f"  {t}   {state.coef_condition:.6f}     {closed:.6f}      "
-          f"{state.coef_condition - closed:+.6f}")
+for row in gap_audit["condition_coefficient_table"]:
+    print(f"  {row['t']}   {row['compound_condition_coef']:.6f}     "
+          f"{row['marginal_condition_coef']:.6f}      {row['gap']:+.6f}")
 
 print("\nfull JSON report structure:",
       json.dumps({k: type(v).__name__ for k, v in report.items()}, indent=2))

@@ -4,7 +4,8 @@ Each audit pits a production formula against an independent reference from
 the oracle module (exact recursions, generic linear-Gaussian conditioning,
 finite differences) and reports the worst residual against a fixed
 tolerance.  ``run_audits`` returns a JSON-ready report; the CLI ``verify``
-subcommand writes it to disk.
+subcommand writes it to disk.  The acceptance criteria call the same audit
+functions with their own schedules, draw counts and seeds.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ def _random_schedules(rng, sizes=(1, 2, 5, 50)):
     return scheds
 
 
-def _schedule_identities(rng):
+def _schedule_identities(scheds):
     worst = 0.0
-    for sched in _random_schedules(rng, (1, 2, 5, 50, 100)):
+    for sched in scheds:
         prod_res = np.max(np.abs(
             sched.alpha_cum[1:] - sched.alpha_cum[:-1] * sched.alpha_step
         ) / sched.alpha_cum[1:])
@@ -55,11 +56,11 @@ def _schedule_identities(rng):
     return _audit("schedule_identities", worst, 1e-12)
 
 
-def _posterior_conditioning(rng):
+def _posterior_conditioning(scheds):
     """Generic conditioning must reproduce the posterior variance and the
     three mean coefficients used by the production formula."""
     worst = 0.0
-    for sched in _random_schedules(rng):
+    for sched in scheds:
         for t in range(1, sched.T + 1):
             beta = float(sched.beta[t - 1])
             astep = float(sched.alpha_step[t - 1])
@@ -88,11 +89,12 @@ def _posterior_conditioning(rng):
     return _audit("posterior_conditioning", worst, 1e-12)
 
 
-def _substitution_identity(rng, n=10_000):
+def _substitution_identity(scheds, rng, n=10_000):
     """Noise-parameterized posterior mean must equal the moment form after
-    substituting the forward sample."""
+    substituting the forward sample: at least ``n`` draws per schedule,
+    spread over every step."""
     worst = 0.0
-    for sched in _random_schedules(rng):
+    for sched in scheds:
         m = n // sched.T + 1
         for t in range(1, sched.T + 1):
             z0m = rng.uniform(-10, 10, m)
@@ -132,11 +134,11 @@ def _loss_weight(rng):
                   gap_to_constant_without_alpha_step_factor=float(naive_gap))
 
 
-def _jump_identity(rng):
+def _jump_identity(scheds, rng):
     """A state on the forward marginal at t keeps noise variance
     1 - alpha_cum_{t-1} after the jump, whatever the jump noise std."""
     worst = 0.0
-    for sched in _random_schedules(rng, (2, 5, 50)):
+    for sched in scheds:
         for t in range(1, sched.T + 1):
             acum_prev = float(sched.alpha_cum[t - 1])
             acum = float(sched.alpha_cum[t])
@@ -147,17 +149,17 @@ def _jump_identity(rng):
     return _audit("jump_coefficient_identity", worst, 1e-14)
 
 
-def _deterministic_telescoping(rng):
+def _deterministic_telescoping(rng, n):
     """With zero jump noise and the exact noise model, the accelerated chain
-    must land exactly on residual + condition from any start."""
+    of ``n`` cells must land exactly on residual + condition from any start."""
     worst = 0.0
     for T in (2, 5, 50):
         sched = build_linear_schedule(T, 1e-4, 0.2)
         for K in {T, max(1, T // 3)}:
-            z0m = rng.uniform(-5, 5, 16)
-            z0c = rng.uniform(-5, 5, 16)
+            z0m = rng.uniform(-5, 5, n)
+            z0c = rng.uniform(-5, 5, n)
             predictor = orc.affine_oracle_predictor(z0m, z0c, sched)
-            z = rng.standard_normal(16)
+            z = rng.standard_normal(n)
             steps = sp.substep_schedule(T, K)
             for i, t in enumerate(steps):
                 t_prev = steps[i + 1] if i + 1 < len(steps) else 0
@@ -166,9 +168,8 @@ def _deterministic_telescoping(rng):
     return _audit("deterministic_jump_telescoping", worst, 1e-8)
 
 
-def _forward_compound_gap():
+def _forward_compound_gap(sched):
     """Quantify the single-step versus closed-form marginal discrepancy."""
-    sched = build_linear_schedule(5, 0.1, 0.3)
     table = []
     worst = 0.0
     for t in range(1, sched.T + 1):
@@ -189,12 +190,11 @@ def _forward_compound_gap():
                   condition_coefficient_table=table)
 
 
-def _ancestral_pushforward(rng):
-    """The full reverse chain under the exact noise model must match the
-    affine recursion step by step (means exactly, variance via draws)."""
-    sched = build_linear_schedule(5, 0.05, 0.25)
-    z0m, z0c = 1.2, -0.7
-    n = 20_000
+def _ancestral_pushforward(rng, sched, z0m, z0c, n):
+    """The full reverse chain under the exact noise model, run on ``n``
+    draws, must match the affine recursion step by step: each step's mean
+    and variance within four standard errors (the residual is the worse
+    z-score over 4).  ``terminal_gap`` is |mean - exact| + spread at t = 0."""
     predictor = orc.affine_oracle_predictor(z0m, z0c, sched)
     states = orc.sampler_pushforward_coeffs(sched, "ancestral")
     z = rng.standard_normal(n)
@@ -249,7 +249,9 @@ def _elbo_oracle_collapse(rng):
     return _audit("elbo_oracle_collapse", worst, 1e-12)
 
 
-def _gradient_check(rng):
+def _gradient_check(rng, step):
+    """Tape gradients of a small denoiser's masked loss against central
+    differences with step ``step``."""
     cfg = dn.DenoiserConfig(n_window=4, n_nodes=3, n_steps=5, d=8,
                             conv_width=3, head_count=2)
     params = dn.init_params(cfg, rng)
@@ -263,7 +265,8 @@ def _gradient_check(rng):
     mask[0, 0, 0] = True
     a_hat = dn.normalized_adjacency(adj)
     report = orc.finite_diff_check(
-        lambda p: dn.masked_mse(dn.forward(p, cfg, z_t, z0c, t, a_hat), eps, mask), params)
+        lambda p: dn.masked_mse(dn.forward(p, cfg, z_t, z0c, t, a_hat), eps, mask),
+        params, step=step)
     return _audit("gradient_finite_difference", report["max_rel_err"], 1e-4)
 
 
@@ -271,16 +274,17 @@ def run_audits(seed: int = 0) -> dict:
     """Run every derivation audit; returns a JSON-ready report."""
     rng = np.random.default_rng(seed)
     audits = [
-        _schedule_identities(rng),
-        _posterior_conditioning(rng),
-        _substitution_identity(rng),
+        _schedule_identities(_random_schedules(rng, (1, 2, 5, 50, 100))),
+        _posterior_conditioning(_random_schedules(rng)),
+        _substitution_identity(_random_schedules(rng), rng),
         _loss_weight(rng),
-        _jump_identity(rng),
-        _deterministic_telescoping(rng),
-        _forward_compound_gap(),
-        _ancestral_pushforward(rng),
+        _jump_identity(_random_schedules(rng, (2, 5, 50)), rng),
+        _deterministic_telescoping(rng, n=16),
+        _forward_compound_gap(build_linear_schedule(5, 0.1, 0.3)),
+        _ancestral_pushforward(rng, build_linear_schedule(5, 0.05, 0.25),
+                               1.2, -0.7, n=20_000),
         _unconditional_reduction(rng),
         _elbo_oracle_collapse(rng),
-        _gradient_check(rng),
+        _gradient_check(rng, step=1e-4),
     ]
     return {"seed": seed, "all_pass": all(a["pass"] for a in audits), "audits": audits}

@@ -9,7 +9,8 @@ never touches values, so eval cells keep their ground truth for metrics.
 CSV formats (all with header rows):
   values.csv     time,<node>,...   one row per step; empty/NaN = unobserved
   mask files     time,<node>,...   0/1 entries, same shape as values
-  adjacency.csv  node,<node>,...   symmetric nonnegative weights, zero diag
+  adjacency.csv  node,<node>,...   symmetric nonnegative weights, zero diag;
+                                   header and row labels are values' node ids
   training logs  step,loss_simple,loss_init,loss_joint   one row per step
   sweep tables   parameter,value,mae,mse,mre   one row per grid point
 
@@ -141,11 +142,12 @@ def _read_table(path, kind: str, blank: float | None = None, label=None):
 
     ``cells`` holds the cells after each record's first as float64, one row
     per record; an empty cell reads as ``blank``, and without one it is an
-    error like any other cell that is not a number.  ``labels`` holds each
-    record's first cell through ``label``, or is None without one.  Only
-    one record's text is held at a time; the first bad record is reported.
+    error like any other cell that is not a number.  ``labels`` is an array
+    of each record's first cell through ``label``, or None without one.
+    Only one record's text is held at a time; the first bad record is
+    reported.
     """
-    cells, labels = array("d"), array("d")
+    cells, labels = array("d"), []
     header, records = None, 0
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -177,7 +179,7 @@ def _read_table(path, kind: str, blank: float | None = None, label=None):
     if records < 2 or not header:
         raise DataError(f"{kind} file {path} needs a header and data rows")
     grid = np.frombuffer(cells, dtype=np.float64).reshape(records - 1, len(header) - 1)
-    return header, grid, (np.frombuffer(labels) if label is not None else None)
+    return header, grid, (np.array(labels) if label is not None else None)
 
 
 def load_csv(values_path, adjacency_path, mask_path=None,
@@ -197,10 +199,15 @@ def load_csv(values_path, adjacency_path, mask_path=None,
         eval_mask = _load_mask(eval_mask_path, (L, n)) & observed
     values = np.where(np.isfinite(values), values, 0.0)
 
-    _, adj, _ = _read_table(adjacency_path, "adjacency")
+    header, adj, rows = _read_table(adjacency_path, "adjacency", label=str)
     if adj.shape != (n, n):
         raise DataError(f"adjacency shape {adj.shape[0]}x{adj.shape[1]} "
                         f"does not match {n} nodes")
+    for axis, ids in (("column", header[1:]), ("row", rows.tolist())):
+        for k, (got, want) in enumerate(zip(ids, node_ids)):
+            if got != want:
+                raise DataError(f"adjacency file {adjacency_path}: {axis} {k + 1} "
+                                f"is node {got!r} where values has {want!r}")
 
     grid = MaskedGrid(
         values=values,
@@ -223,7 +230,12 @@ def _load_mask(path, shape) -> np.ndarray:
     _, mask, _ = _read_table(path, "mask")
     if mask.shape != shape:
         raise DataError(f"mask shape {mask.shape} does not match values {shape}")
-    return mask != 0.0
+    bad = (mask != 0.0) & (mask != 1.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DataError(f"mask file {path}: {float(mask[i, j])!r} at line {i + 2} "
+                        "is not 0 or 1")
+    return mask == 1.0
 
 
 def _write_table(path, corner: str, columns, labels, rows):

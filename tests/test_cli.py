@@ -116,9 +116,10 @@ def test_pretrain_subcommand(pipeline, tmp_path):
     assert (out / "pretrain_log.csv").exists()
 
 
-def test_verify_subcommand(tmp_path):
+@pytest.mark.parametrize("seed", [0, 1, 3, 6])
+def test_verify_subcommand(tmp_path, seed):
     out = tmp_path / "ver"
-    assert main(["verify", "--out", str(out), "--seed", "0"]) == 0
+    assert main(["verify", "--out", str(out), "--seed", str(seed)]) == 0
     report = json.loads((out / "audit.json").read_text())
     assert report["all_pass"] is True
     names = {a["name"] for a in report["audits"]}
@@ -441,6 +442,9 @@ def _short(line):
     pytest.param("values.csv", lambda line: line.replace(",", ",x", 1), id="bad-number"),
     pytest.param("values.csv", _short, id="short-values-row"),
     pytest.param("eval_mask.csv", _short, id="short-eval-mask-row"),
+    pytest.param("eval_mask.csv", lambda line: line.replace(",", ",0.5", 1),
+                 id="eval-mask-cell-not-0-or-1"),
+    pytest.param("adjacency.csv", lambda line: "x" + line, id="adjacency-row-label"),
 ])
 def test_garbled_csv_exits_3_without_output(pipeline, tmp_path, capsys, name, garble):
     _, ds, _, _ = pipeline

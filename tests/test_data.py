@@ -106,6 +106,17 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             dt.load_csv(tmp_path / "values.csv", tmp_path / "adjacency.csv")
 
+    @pytest.mark.parametrize("adjacency,where", [
+        ("node,x,y\nx,0,1\ny,1,0\n", "column 1 is node 'x'"),
+        ("node,b,a\nb,0,1\na,1,0\n", "column 1 is node 'b'"),
+        ("node,a,b\na,0,1\nq,1,0\n", "row 2 is node 'q'"),
+    ])
+    def test_adjacency_node_ids_must_match_values(self, tmp_path, adjacency, where):
+        (tmp_path / "values.csv").write_text("time,a,b\n0,1.0,2.0\n")
+        (tmp_path / "adjacency.csv").write_text(adjacency)
+        with pytest.raises(DataError, match=f"adjacency.csv: {where} where values has"):
+            dt.load_csv(tmp_path / "values.csv", tmp_path / "adjacency.csv")
+
 
 # one cell of each file is marked "@"; a test garbles it or fills in 1
 MARKED_CSV = {
@@ -145,6 +156,12 @@ class TestGarbledCsv:
         # an empty values cell is unobserved; elsewhere a cell must hold a number
         with pytest.raises(DataError, match=rf"{name}: '' at line 3 is not a number"):
             load_marked(tmp_path, name, b"")
+
+    @pytest.mark.parametrize("cell", [b"nan", b"0.5", b"-3"])
+    def test_mask_cell_other_than_0_or_1_is_a_data_error(self, tmp_path, cell):
+        with pytest.raises(DataError, match=rf"observed_mask.csv: {float(cell)!r} at "
+                                            "line 3 is not 0 or 1"):
+            load_marked(tmp_path, "observed_mask.csv", cell)
 
 
 def reference_table(path, kind, blank=None, label=None):
