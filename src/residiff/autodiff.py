@@ -300,7 +300,8 @@ def attention(q, k, v):
     the blocks in reverse: the block the forward left in the buffer is
     used as it is, and every other block's probabilities are computed again
     by the same code, so a call of one block recomputes nothing.  The
-    gradients are written in the operands' memory order, block by block.
+    gradients are written in the operands' memory order, block by block, so
+    the reshape after the denoiser's transpose copies nothing.
     """
     qv, kv, vv = value_of(q), value_of(k), value_of(v)
     *batch, s_q, _ = qv.shape

@@ -241,6 +241,13 @@ def _cmd_train(cfg: RunConfig, out: _OutputDir) -> int:
 def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
     if not cfg.checkpoint:
         raise ConfigError("--checkpoint path is required")
+    # the chosen sampler's own option check, before anything loads
+    if cfg.sampler == "ancestral":
+        sp.check_sampling(cfg.samples)
+    elif cfg.sampler == "ddim":
+        sp.check_sampling(cfg.samples, cfg.eta)
+    else:
+        raise ConfigError(f"unknown sampler {cfg.sampler!r}")
     ckpt = load_checkpoint(cfg.checkpoint)
     # the checkpoint fixes the geometry: window length and node count
     geometry = ckpt.denoiser_config
@@ -259,12 +266,10 @@ def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
     if cfg.sampler == "ancestral":
         result = sp.ancestral_impute(ckpt, grid, graph, cfg.samples, rng)
         step_count = ckpt.sched.T
-    elif cfg.sampler == "ddim":
+    else:
         result = sp.accelerated_impute(ckpt, grid, graph, cfg.accelerate_steps,
                                        cfg.samples, rng, cfg.eta)
         step_count = cfg.accelerate_steps
-    else:
-        raise ConfigError(f"unknown sampler {cfg.sampler!r}")
     outputs = {"median": result.median, "q05": result.q_low, "q95": result.q_high}
     if cfg.write_samples:
         outputs.update({f"sample_{s:03d}": sample for s, sample in enumerate(result.samples)})

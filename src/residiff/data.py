@@ -50,6 +50,7 @@ __all__ = [
     "mask_point",
     "mask_block",
     "mask_node",
+    "check_target_draw",
     "draw_point_targets",
     "draw_block_targets",
     "metrics",
@@ -375,11 +376,27 @@ def synth_generate(seed: int, n_nodes: int, n_steps: int,
 # Masking protocols
 
 
+def check_target_draw(protocol: str, p_point: float, p_block: float = 0.0,
+                      len_range: tuple[int, int] = (1, 1)) -> None:
+    """ConfigError unless a target draw's parameters lie in range.
+
+    A ``point`` draw's rate lies in (0, 1); a ``block`` draw's point rate may
+    be 0, so it and the block start rate lie in [0, 1).  Block lengths run
+    from 1 <= min <= max hours.  The draws call this, and so does
+    ``TrainConfig``, so that a bad value fails before any work starts.
+    """
+    if protocol == "point" and not 0.0 < p_point < 1.0:
+        raise ConfigError(f"masking probability must be in (0, 1), got {p_point}")
+    if not 0.0 <= p_point < 1.0 or not 0.0 <= p_block < 1.0:
+        raise ConfigError("masking probabilities must be in [0, 1)")
+    if len_range[0] < 1 or len_range[1] < len_range[0]:
+        raise ConfigError(f"invalid block length range {len_range}")
+
+
 def draw_point_targets(visible: np.ndarray, p: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Each visible cell independently becomes a target with probability p."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"masking probability must be in (0, 1), got {p}")
+    check_target_draw("point", p)
     return visible & (rng.random(visible.shape) < p)
 
 
@@ -393,10 +410,7 @@ def draw_block_targets(visible: np.ndarray, p_point: float, p_block: float,
     time axis of its own window; its length is uniform over ``len_range``
     hours converted via ``steps_per_hour``.
     """
-    if not 0.0 <= p_point < 1.0 or not 0.0 <= p_block < 1.0:
-        raise ConfigError("masking probabilities must be in [0, 1)")
-    if len_range[0] < 1 or len_range[1] < len_range[0]:
-        raise ConfigError(f"invalid block length range {len_range}")
+    check_target_draw("block", p_point, p_block, len_range)
     target = (
         visible & (rng.random(visible.shape) < p_point)
         if p_point > 0

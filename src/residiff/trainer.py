@@ -154,6 +154,8 @@ class TrainConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"expected one of {', '.join(allowed)}")
+        dt.check_target_draw(self.target_protocol, self.target_p, self.block_p,
+                             (self.block_len_min, self.block_len_max))
         # the denoiser's own shape checks and the noise schedule's, here so
         # that a bad value fails before any training; neither involves the
         # node count

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -519,6 +520,30 @@ def test_impute_checkpoint_with_an_invalid_sidecar_config_exits_3(pipeline, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sampler,flag,value,message", [
+    ("ancestral", "--samples", "0", "sample count must be >= 1"),
+    ("ddim", "--samples", "0", "sample count must be >= 1"),
+    ("gibbs", "--samples", "2", "unknown sampler 'gibbs'"),
+])
+def test_impute_rejects_sampling_options_before_loading(pipeline, tmp_path, capsys,
+                                                        monkeypatch, sampler, flag,
+                                                        value, message):
+    # one line, even where the ancestral chain's drift warning would follow
+    # the checkpoint's load
+    from residiff import cli
+
+    _, _, dsm, run = pipeline
+    loads = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path))
+    out = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(run / "checkpoint.bin"),
+                 "--out", str(out), "--sampler", sampler, "--accelerate-steps", "3",
+                 flag, value]) == 2
+    assert message in _one_line_error(capsys, "config error:")
+    assert loads == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eta", ["2", "-0.5", "nan"])
 def test_impute_eta_outside_unit_interval_exits_2(pipeline, tmp_path, capsys, eta):
     _, _, dsm, run = pipeline
@@ -828,8 +853,33 @@ def test_block_training_targets_exit_0(pipeline, tmp_path, command):
     assert (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+@pytest.mark.parametrize("flags,message", [
+    (["--target-p", "1.5"], "masking probability must be in (0, 1)"),
+    (["--target-p", "0"], "masking probability must be in (0, 1)"),
+    (["--block-len-min", "0"], "invalid block length range"),
+    (["--target-protocol", "block", "--block-p", "1"], "masking probabilities must be in [0, 1)"),
+    (["--target-protocol", "block", "--target-p", "-0.1"],
+     "masking probabilities must be in [0, 1)"),
+    (["--target-protocol", "block", "--block-len-min", "3", "--block-len-max", "2"],
+     "invalid block length range"),
+], ids=["point-p-1.5", "point-p-0", "len-min-0", "block-p-1", "block-point-p-neg",
+        "len-max-below-min"])
+def test_out_of_range_training_target_exits_2_before_training(pipeline, tmp_path, capsys,
+                                                              command, flags, message):
+    # with no joint epochs and a fill without parameters no target is ever
+    # drawn, so only the config's own check can reject these
+    _, _, dsm, _ = pipeline
+    out = tmp_path / command
+    assert main([command, "--data", str(dsm), "--out", str(out), *FAST_TRAIN,
+                 "--epochs", "0", *flags]) == 2
+    assert message in _one_line_error(capsys, "config error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("init_hidden", 0), ("init_hidden", -1), ("lam", float("nan")), ("lam", float("inf")),
+    ("target_p", 1.5), ("block_len_min", 0),
     ("steps_per_hour", 0), ("steps_per_hour", -1), ("epochs", -1), ("pretrain_epochs", -1),
     ("strategy", "kriging"), ("init_norm", "l3"), ("target_protocol", "stripes"),
 ])
@@ -964,3 +1014,69 @@ def test_readme_commands_name_real_subcommands_and_flags():
         assert words and words[0] in _COMMANDS, words
         flags = [w for w in words[1:] if w.startswith("--")]
         assert all(f[2:].replace("-", "_") in keys for f in flags), words
+
+
+_REPO = Path(__file__).resolve().parents[1]
+# files the CLI writes or reads (file.json stands for a --config file), not
+# repository paths
+_ARTIFACTS = {"config.json", "checkpoint.bin", "checkpoint.bin.json", "summary.json",
+              "metrics.json", "audit.json", "values.csv", "observed_mask.csv",
+              "eval_mask.csv", "adjacency.csv", "train_log.csv", "pretrain_log.csv",
+              "median.csv", "q05.csv", "q95.csv", "sweep.csv", "file.json"}
+_TOP_DIRS = {p.name for p in _REPO.iterdir() if p.is_dir() and not p.name.startswith(".")}
+
+
+def _readme_spans() -> list[str]:
+    """README's inline code spans, fenced blocks left out."""
+    prose = re.sub(r"^```.*?^```", "", (_REPO / "README.md").read_text(), flags=re.M | re.S)
+    return re.findall(r"`([^`\n]+)`", prose)
+
+
+def _is_file(word: str) -> bool:
+    """A path under one of the repository's directories, or a bare file name."""
+    if "/" in word:
+        return word.split("/", 1)[0] in _TOP_DIRS
+    return bool(re.fullmatch(r"[\w*.-]+\.(py|json|md|csv|bin|txt)", word))
+
+
+def test_readme_paths_exist():
+    words = {w for span in _readme_spans() for w in span.split() if _is_file(w)}
+    assert "tests/test_acceptance.py" in words and "BENCH_26.json" in words
+    for word in sorted(words - _ARTIFACTS):
+        if "/" in word:
+            assert list(_REPO.glob(word.rstrip("/"))), word
+        else:  # a bare file name: at the root or in the package
+            assert any(list(d.glob(word)) for d in (_REPO, _REPO / "src" / "residiff")), word
+
+
+def test_readme_dotted_names_resolve():
+    """Each backticked dotted name rooted at a residiff module, one of the
+    aliases the package imports its modules under, or the package itself
+    names an attribute that exists, or a metric BENCHMARK.json lists."""
+    import fnmatch
+    import importlib
+
+    aliases = {"residiff": "residiff"}
+    for src in (_REPO / "src" / "residiff").glob("*.py"):
+        aliases[src.stem] = f"residiff.{src.stem}"
+        for mod, alias in re.findall(r"^from \. import (\w+) as (\w+)$", src.read_text(), re.M):
+            aliases[alias] = f"residiff.{mod}"
+    bench = json.loads((_REPO / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in bench["end_to_end"] + bench["per_layer"]]
+
+    checked = 0
+    for span in _readme_spans():
+        name = re.sub(r"\(.*\)$", "", span)
+        if not re.fullmatch(r"\w+(\.[\w*]+)+", name) or _is_file(name):
+            continue
+        root, *parts = name.split(".")
+        if root not in aliases:
+            continue
+        checked += 1
+        if any(fnmatch.fnmatch(m, name) for m in metrics):
+            continue
+        obj = importlib.import_module(aliases[root])
+        for part in parts:
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)
+    assert checked
