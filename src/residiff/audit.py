@@ -190,20 +190,30 @@ def _forward_compound_gap(sched):
                   condition_coefficient_table=table)
 
 
-def _ancestral_pushforward(rng, sched, z0m, z0c, n):
-    """The full reverse chain under the exact noise model, run on ``n``
-    draws, must match the affine recursion step by step: each step's mean
-    and variance within four standard errors (the residual is the worse
-    z-score over 4).  ``terminal_gap`` is |mean - exact| + spread at t = 0."""
+def _pushforward(rng, sched, z0m, z0c, n, steps=None):
+    """The reverse chain under the exact noise model, run on ``n`` draws, must
+    match the affine recursion step by step: each step's mean and variance
+    within four standard errors (the residual is the worse z-score over 4).
+    ``steps=None`` runs the full ancestral chain; descending ``steps`` run the
+    accelerated jumps at eta 1.  ``terminal_gap`` is |mean - exact| + spread
+    at t = 0."""
+    variant = "ancestral" if steps is None else "accelerated"
+    states = orc.sampler_pushforward_coeffs(sched, variant, steps)
+    steps = list(range(sched.T, 0, -1)) if steps is None else list(steps)
     predictor = orc.affine_oracle_predictor(z0m, z0c, sched)
-    states = orc.sampler_pushforward_coeffs(sched, "ancestral")
     z = rng.standard_normal(n)
     worst_mean = 0.0
     worst_var_sig = 0.0
-    for i, t in enumerate(range(sched.T, 0, -1)):
+    for i, t in enumerate(steps):
         eps_hat = predictor(z, None, t)
-        noise = rng.standard_normal(n) if t > 1 else None
-        z = sp.ancestral_step(z, np.full(n, z0c), t, eps_hat, sched, noise)
+        if variant == "ancestral":
+            noise = rng.standard_normal(n) if t > 1 else None
+            z = sp.ancestral_step(z, np.full(n, z0c), t, eps_hat, sched, noise=noise)
+        else:
+            t_prev = steps[i + 1] if i + 1 < len(steps) else 0
+            d = sp.substep_noise_std(sched, t, t_prev)
+            noise = rng.standard_normal(n) if d > 0 else None
+            z = sp.accelerated_step(z, eps_hat, t, t_prev, d, sched, noise=noise)
         ref = states[i + 1]
         se = max(np.sqrt(ref.noise_var / n), 1e-12)
         worst_mean = max(worst_mean, abs(float(z.mean()) - ref.mean(z0m, z0c)) / max(4 * se, 1e-8))
@@ -211,7 +221,7 @@ def _ancestral_pushforward(rng, sched, z0m, z0c, n):
         worst_var_sig = max(worst_var_sig, abs(float(z.var()) - ref.noise_var) / (4 * var_se))
     terminal = states[-1]
     exact = abs(float(z.mean()) - terminal.mean(z0m, z0c)) + float(z.std())
-    return _audit("ancestral_pushforward", max(worst_mean, worst_var_sig), 1.0,
+    return _audit(f"{variant}_pushforward", max(worst_mean, worst_var_sig), 1.0,
                   terminal_gap=float(exact))
 
 
@@ -281,10 +291,11 @@ def run_audits(seed: int = 0) -> dict:
         _jump_identity(_random_schedules(rng, (2, 5, 50)), rng),
         _deterministic_telescoping(rng, n=16),
         _forward_compound_gap(build_linear_schedule(5, 0.1, 0.3)),
-        _ancestral_pushforward(rng, build_linear_schedule(5, 0.05, 0.25),
-                               1.2, -0.7, n=20_000),
+        _pushforward(rng, build_linear_schedule(5, 0.05, 0.25), 1.2, -0.7, n=20_000),
         _unconditional_reduction(rng),
         _elbo_oracle_collapse(rng),
         _gradient_check(rng, step=1e-4),
+        _pushforward(rng, build_linear_schedule(10, 0.01, 0.3), 0.6, -0.2, n=20_000,
+                     steps=sp.substep_schedule(10, 4)),
     ]
     return {"seed": seed, "all_pass": all(a["pass"] for a in audits), "audits": audits}

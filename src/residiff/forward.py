@@ -11,9 +11,10 @@ oracle module quantifies (see ``oracle.compound_marginal_coeffs``).
 
 All operations are pure functions of their inputs plus an explicit RNG and
 accept either plain ndarrays or autodiff Tensors for the grid arguments, so
-the trainer can differentiate through them.  Diffusion algebra runs grid-wide
-with zero fill outside target cells; losses and metrics reduce over target
-cells only.
+the trainer can differentiate through them.  Of the step formulas only
+``q_sample`` takes a target mask, for the trainer; the rest run cell-wise on
+the whole grid.  Losses and metrics reduce over target cells, and
+``elbo_diagnostics`` reduces its terms over the mask it is given.
 """
 
 from __future__ import annotations
@@ -63,37 +64,32 @@ def _coeffs(sched: NoiseSchedule, t, grid):
     return beta, astep, acum_prev, acum
 
 
-def _apply_mask(grid, target_mask):
-    if target_mask is None:
-        return grid
-    return ad.mul(grid, np.asarray(target_mask, dtype=np.float64))
-
-
 def q_sample(z0m, z0c, t, eps, sched: NoiseSchedule, target_mask=None):
     """Closed-form diffused grid at step t via the reparameterization trick.
 
     ``t`` may be a scalar step or an int array matching the leading axis of
-    batched grids.  The result is zeroed outside target cells.
+    batched grids.  ``target_mask`` zeroes the result outside target cells.
     """
     _, _, _, acum = _coeffs(sched, t, z0m)
     out = ad.add(
         ad.mul(np.sqrt(acum), ad.add(z0m, z0c)),
         ad.mul(np.sqrt(1.0 - acum), eps),
     )
-    return _apply_mask(out, target_mask)
+    if target_mask is None:
+        return out
+    return ad.mul(out, np.asarray(target_mask, dtype=np.float64))
 
 
-def q_step_sample(z_prev, z0c, t, eps, sched: NoiseSchedule, target_mask=None):
+def q_step_sample(z_prev, z0c, t, eps, sched: NoiseSchedule):
     """Single forward transition; verification-only (see module docstring)."""
     beta, astep, _, _ = _coeffs(sched, t, z_prev)
-    out = ad.add(
+    return ad.add(
         ad.mul(np.sqrt(astep), ad.add(z_prev, z0c)),
         ad.mul(np.sqrt(beta), eps),
     )
-    return _apply_mask(out, target_mask)
 
 
-def posterior_mean_z0(z_t, z0m, z0c, t, sched: NoiseSchedule, target_mask=None):
+def posterior_mean_z0(z_t, z0m, z0c, t, sched: NoiseSchedule):
     """Posterior mean of z_{t-1} given (z_t, z0m, z0c).
 
     At t = 1 this is exactly z0m + z0c for any z_t (alpha_cum[0] = 1 makes
@@ -104,14 +100,13 @@ def posterior_mean_z0(z_t, z0m, z0c, t, sched: NoiseSchedule, target_mask=None):
     c_zt = np.sqrt(astep) * (1.0 - acum_prev) / denom
     c_z0m = np.sqrt(acum_prev) * beta / denom
     c_z0c = (np.sqrt(acum_prev) * beta - astep * (1.0 - acum_prev)) / denom
-    out = ad.add(
+    return ad.add(
         ad.add(ad.mul(c_zt, z_t), ad.mul(c_z0m, z0m)),
         ad.mul(c_z0c, z0c),
     )
-    return _apply_mask(out, target_mask)
 
 
-def posterior_mean_eps(z_t, z0c, eps_hat, t, sched: NoiseSchedule, target_mask=None):
+def posterior_mean_eps(z_t, z0c, eps_hat, t, sched: NoiseSchedule):
     """Posterior mean parameterized by the noise estimate instead of z0m.
 
     Substituting the marginal's inversion of z0m into ``posterior_mean_z0``
@@ -123,7 +118,7 @@ def posterior_mean_eps(z_t, z0c, eps_hat, t, sched: NoiseSchedule, target_mask=N
     c_z0c = astep * np.sqrt(astep) * (1.0 - acum_prev) / denom
     c_eps = (1.0 - astep) / np.sqrt(denom)
     inner = ad.sub(ad.sub(z_t, ad.mul(c_z0c, z0c)), ad.mul(c_eps, eps_hat))
-    return _apply_mask(ad.mul(inv_sqrt_astep, inner), target_mask)
+    return ad.mul(inv_sqrt_astep, inner)
 
 
 def gaussian_kl_same_var(mu1, mu2, var: float):
@@ -184,9 +179,9 @@ def elbo_diagnostics(
         for _ in range(mc_draws):
             eps = rng.standard_normal(z0m_v.shape)
             z_t = q_sample(z0m_v, z0c_v, t, eps, sched, mask)
-            mu_q = posterior_mean_z0(z_t, z0m_v, z0c_v, t, sched, mask)
+            mu_q = posterior_mean_z0(z_t, z0m_v, z0c_v, t, sched)
             eps_hat = eps_predictor(z_t, z0c_v, t)
-            mu_p = posterior_mean_eps(z_t, z0c_v, eps_hat, t, sched, mask)
+            mu_p = posterior_mean_eps(z_t, z0c_v, eps_hat, t, sched)
             acc += float(_masked_mean(gaussian_kl_same_var(mu_q, mu_p, bt), mask))
         step_kl[t - 2] = acc / mc_draws
 
@@ -201,7 +196,7 @@ def elbo_diagnostics(
         eps = rng.standard_normal(z0m_v.shape)
         z_1 = q_sample(z0m_v, z0c_v, 1, eps, sched, mask)
         eps_hat = eps_predictor(z_1, z0c_v, 1)
-        mu_p = posterior_mean_eps(z_1, z0c_v, eps_hat, 1, sched, mask)
+        mu_p = posterior_mean_eps(z_1, z0c_v, eps_hat, 1, sched)
         logpdf = -0.5 * (
             np.log(2.0 * np.pi * recon_var) + (z0m_v - mu_p) ** 2 / recon_var
         )

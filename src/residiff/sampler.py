@@ -1,12 +1,13 @@
 """Reverse sampling of the residual and assembly of probabilistic imputations.
 
 Two samplers share the same checkpoint and denoiser, and each runs one step
-function per reverse step; the derivation audits check those same functions.
+function per reverse step; the derivation audits run those same functions.
+Both steps take a noise estimate, which ``_SamplerSetup.eps_from_output``
+forms from a clean-residual checkpoint's output.
 
   * ancestral (``ancestral_step``): full-length reverse chain; each step
-    takes the posterior mean, parameterized by the noise estimate or, for
-    clean-residual checkpoints, by the predicted residual, and adds noise
-    with the posterior std (zero at the last step).
+    takes the noise-parameterized posterior mean and adds noise with the
+    posterior std (zero at the last step).
   * accelerated (``accelerated_step``): non-Markovian jumps over an evenly
     spaced descending subsequence of steps ending at 1, with coefficients
     from ``jump_coeffs``.  The jump noise std defaults to the generalized
@@ -27,10 +28,10 @@ nodes up), so each op's operands stay in cache.  What a tape-free call holds
 in scores is bounded by ``ad.attention``'s blocks, not by the call size.  Each
 sample chain owns an RNG stream derived from (root seed, sample index), and a
 window's prediction does not depend on the other windows in its call, so
-results do not depend on how windows split into calls.  Non-visible cells are
-initialized from standard normal noise on target cells only; visible cells
-pass through untouched in every sample.  The chain state is checked once per
-reverse step; a non-finite one raises ``NumericError`` naming the step.
+results do not depend on how windows split into calls.  Chains start from
+standard normal noise on target cells, and every reverse step zeroes the
+new state outside them; visible cells pass through untouched in every
+sample.  A non-finite state raises ``NumericError`` naming the step.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from . import data as dt
 from . import denoiser as dn
 from . import initial as ini
 from .errors import ConfigError, NumericError
-from .forward import posterior_mean_eps, posterior_mean_z0
+# posterior_mean_z0 is not called here; perfbench/spans.py patches it in this
+# module, and tests/test_bench_hooks.py checks that the patch point resolves
+from .forward import posterior_mean_eps, posterior_mean_z0  # noqa: F401
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -83,28 +86,15 @@ def substep_noise_std(sched: NoiseSchedule, t: int, t_prev: int, eta: float = 1.
     return float(eta) * float(np.sqrt(var))
 
 
-def ancestral_step(z_t, z0c, t: int, net_out, sched: NoiseSchedule, noise=None,
-                   target_mask=None, predict_x0: bool = False):
-    """One reverse transition; adds posterior-std noise except at t = 1.
-
-    ``net_out`` is the noise estimate, or the clean residual when
-    ``predict_x0`` is set; the posterior mean then takes its moment form.
-    The caller draws ``noise`` (DDPM's Algorithm 2); t > 1 needs it, t = 1 ignores it.
-    """
+def ancestral_step(z_t, z0c, t: int, eps_hat, sched: NoiseSchedule, noise=None):
+    """One reverse transition through the noise estimate, with posterior-std
+    ``noise`` drawn by the caller (DDPM's Algorithm 2); t = 1 adds none."""
     if t > 1 and noise is None:
         raise ValueError(f"ancestral step {t} adds noise but was given none")
-    maskf = None if target_mask is None else np.asarray(target_mask, dtype=np.float64)
-    if predict_x0:
-        z0m = net_out if maskf is None else net_out * maskf
-        mean = posterior_mean_z0(z_t, z0m, z0c, t, sched, target_mask)
-    else:
-        mean = posterior_mean_eps(z_t, z0c, net_out, t, sched, target_mask)
+    mean = posterior_mean_eps(z_t, z0c, eps_hat, t, sched)
     if t == 1:
         return mean
-    sigma = float(np.sqrt(sched.beta_tilde[t - 1]))
-    if maskf is not None:
-        noise = noise * maskf
-    return mean + sigma * noise
+    return mean + float(np.sqrt(sched.beta_tilde[t - 1])) * noise
 
 
 def jump_coeffs(t: int, t_prev: int, d: float, sched: NoiseSchedule) -> tuple[float, float]:
@@ -128,19 +118,14 @@ def jump_coeffs(t: int, t_prev: int, d: float, sched: NoiseSchedule) -> tuple[fl
 
 
 def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
-                     sched: NoiseSchedule, noise=None, target_mask=None):
+                     sched: NoiseSchedule, noise=None):
     """Non-Markovian jump t -> t_prev through the noise estimate; d > 0 needs noise."""
     c_z, c_eps = jump_coeffs(t, t_prev, d, sched)
     out = c_z * np.asarray(z_t) + c_eps * np.asarray(eps_hat)
     if d > 0:
         if noise is None:
             raise ValueError(f"jump {t}->{t_prev} has noise std {d} but no noise")
-        n = np.asarray(noise)
-        if target_mask is not None:
-            n = n * np.asarray(target_mask, dtype=np.float64)
-        out = out + d * n
-    if target_mask is not None:
-        out = out * np.asarray(target_mask, dtype=np.float64)
+        out = out + d * np.asarray(noise)
     return out
 
 
@@ -171,8 +156,7 @@ class _SamplerSetup:
         self.stats = checkpoint.stats
         self.values_norm = dt.normalize(x, self.stats)[0].values
         self.visible = x.visible_mask
-        self.target = ~self.visible
-        self.targetf = self.target.astype(np.float64)
+        self.targetf = (~self.visible).astype(np.float64)
         self.sign = cfg.residual_sign
         self.a_hat = dn.normalized_adjacency(graph.adjacency)
 
@@ -213,7 +197,8 @@ class _SamplerSetup:
         return out
 
     def eps_from_output(self, net_out: np.ndarray, z: np.ndarray, t: int) -> np.ndarray:
-        """Map the network output to a noise estimate (handles x0 prediction)."""
+        """The network output as a noise estimate; a clean-residual output x0
+        inverts the marginal (the sampler's only reader of ``predict_x0``)."""
         if not self.flags.predict_x0:
             return net_out
         acum = float(self.sched.alpha_cum[t])
@@ -284,11 +269,9 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, S: int,
     rngs = _sample_rngs(rng, S)
     z = _draw(rngs, x.shape) * setup.targetf
     for t in range(sched.T, 0, -1):
-        net_out = setup.predict(z, t)
+        eps_hat = setup.eps_from_output(setup.predict(z, t), z, t)
         noise = _draw(rngs, x.shape) if t > 1 else None
-        z = ancestral_step(z, setup.z0c_chain, t, net_out, sched,
-                           target_mask=setup.target, noise=noise,
-                           predict_x0=setup.flags.predict_x0)
+        z = ancestral_step(z, setup.z0c_chain, t, eps_hat, sched, noise) * setup.targetf
         _check_finite(z, f"ancestral step t={t}")
     return setup.finalize(z)
 
@@ -306,9 +289,8 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, K: int,
     for i, t in enumerate(steps):
         t_prev = steps[i + 1] if i + 1 < len(steps) else 0
         d = substep_noise_std(sched, t, t_prev, eta)
-        net_out = setup.predict(z, t)
-        eps_hat = setup.eps_from_output(net_out, z, t)
+        eps_hat = setup.eps_from_output(setup.predict(z, t), z, t)
         noise = _draw(rngs, x.shape) if d > 0 else None
-        z = accelerated_step(z, eps_hat, t, t_prev, d, sched, noise, setup.target)
+        z = accelerated_step(z, eps_hat, t, t_prev, d, sched, noise) * setup.targetf
         _check_finite(z, f"accelerated step {t}->{t_prev}")
     return setup.finalize(z)

@@ -5,8 +5,9 @@ is the single-step signal retention 1 - beta_t, and ``alpha_cum[t]`` is the
 cumulative product of the steps with ``alpha_cum[0] = 1``.  The posterior
 variance ``beta_tilde[t] = (1 - alpha_cum[t-1]) * beta_t / (1 - alpha_cum[t])``
 is zero at t = 1 because alpha_cum[0] = 1; callers never need to special-case
-the first step.  ``build_linear_schedule`` is the one builder; its range
-check puts every beta in (0, 1), and the rest holds by construction.
+the first step.  ``build_linear_schedule`` is the one builder; it refuses a
+beta outside (0, 1) and any schedule without 1 = alpha_cum[0] > ... >
+alpha_cum[T] > 0 in float64, so every derived sequence is finite.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
     beta = np.linspace(beta_min, beta_max, T, dtype=np.float64)
     alpha_step = 1.0 - beta
     alpha_cum = np.concatenate(([1.0], np.cumprod(alpha_step)))
+    # 1 - beta rounds to 1 below float64 resolution; a long product underflows
+    stalled = np.flatnonzero((np.diff(alpha_cum) >= 0) | (alpha_cum[1:] <= 0))
+    if stalled.size:
+        k = int(stalled[0]) + 1
+        raise ConfigError(f"schedule ({T}, {beta_min}, {beta_max}) must decay strictly from "
+                          f"alpha_cum[0] = 1 to above 0, but alpha_cum[{k}] = {alpha_cum[k]:.3g}")
     beta_tilde = (1.0 - alpha_cum[:-1]) * beta / (1.0 - alpha_cum[1:])
     return NoiseSchedule(T, beta, alpha_step, alpha_cum, beta_tilde)
 

@@ -70,9 +70,8 @@ def test_c04_jump_identity_and_telescoping():
 
 def test_c05_ancestral_pushforward_monte_carlo():
     t0 = time.time()
-    audit = au._ancestral_pushforward(np.random.default_rng(5),
-                                      build_linear_schedule(5, 0.05, 0.3),
-                                      1.3, -0.8, n=100_000)
+    audit = au._pushforward(np.random.default_rng(5), build_linear_schedule(5, 0.05, 0.3),
+                            1.3, -0.8, n=100_000)
     ok = audit["residual"] <= 1.0 and audit["terminal_gap"] <= 1e-8
     report(5, "full-chain push-forward with condition drift", ok,
            f"terminal |mean gap| + spread {audit['terminal_gap']:.2e} (tol 1e-8), "

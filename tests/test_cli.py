@@ -843,6 +843,38 @@ def test_bad_denoiser_shape_exits_2_before_pretraining(pipeline, tmp_path, capsy
     assert not out.exists()
 
 
+# 1 - beta rounds to 1 (beta_tilde would be NaN), or alpha_cum underflows to 0
+BROKEN_SCHEDULES = [{"beta_min": 1e-17}, {"t_steps": 400, "beta_min": 0.85, "beta_max": 0.9}]
+
+
+@pytest.mark.parametrize("schedule", BROKEN_SCHEDULES)
+def test_schedule_that_does_not_decay_strictly_exits_2_or_3_from_a_sidecar(
+        pipeline, tmp_path, capsys, monkeypatch, schedule):
+    from residiff import trainer as tr
+
+    _, _, dsm, run = pipeline
+    flags = [x for k, v in schedule.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+    ran = []
+    monkeypatch.setattr(tr, "pretrain_initial", lambda *a: ran.append(a))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(dsm), "--out", str(out), *FAST_TRAIN,
+                 "--strategy", "trainable", "--pretrain-epochs", "30", *flags]) == 2
+    assert "must decay strictly" in _one_line_error(capsys, "config error:")
+    assert ran == []
+    assert not out.exists()
+
+    ck = tmp_path / "ck.bin"
+    ck.write_bytes((run / "checkpoint.bin").read_bytes())
+    sidecar = json.loads((run / "checkpoint.bin.json").read_text())
+    sidecar["config"].update(schedule)
+    (tmp_path / "ck.bin.json").write_text(json.dumps(sidecar))
+    imp = tmp_path / "imp"
+    assert main(["impute", "--data", str(dsm), "--checkpoint", str(ck), "--out", str(imp),
+                 "--sampler", "ddim", "--accelerate-steps", "3", "--samples", "2"]) == 3
+    assert "invalid sidecar config" in _one_line_error(capsys, "data error:")
+    assert not imp.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "pretrain"])
 def test_block_training_targets_exit_0(pipeline, tmp_path, command):
     _, _, dsm, _ = pipeline

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from residiff import data as dt
+from residiff import forward as fw
 from residiff import oracle as orc
 from residiff import sampler as sp
 from residiff.errors import ConfigError, NumericError
@@ -178,6 +179,22 @@ def tiny_run():
                       d=16, head_count=2)
     result = train_joint(grid, graph, cfg)
     return grid, graph, result.checkpoint
+
+
+def test_x0_output_through_the_noise_form_is_the_moment_form(tiny_run):
+    """A clean-residual output converted to a noise estimate gives the same
+    posterior mean as the moment form fed that residual, at every step."""
+    grid, graph, ckpt = tiny_run
+    ckpt = dataclasses.replace(ckpt, config=dataclasses.replace(ckpt.config, predict_x0=True))
+    setup = sp._SamplerSetup(ckpt, grid, graph, 2)
+    rng = np.random.default_rng(8)
+    z0c = setup.z0c_chain
+    for t in range(1, ckpt.sched.T + 1):
+        z, x0 = rng.standard_normal((2, 2) + grid.shape)
+        eps_hat = setup.eps_from_output(x0, z, t)
+        np.testing.assert_allclose(
+            fw.posterior_mean_eps(z, z0c, eps_hat, t, ckpt.sched),
+            fw.posterior_mean_z0(z, x0, z0c, t, ckpt.sched), rtol=0, atol=1e-10)
 
 
 def test_visible_cells_pass_through_every_sample(tiny_run):

@@ -59,10 +59,22 @@ def test_identities_randomized(T):
                                   (5, 0.1, 1.0), (5, -0.1, 0.2),
                                   (5, float("nan"), 0.2), (5, 0.1, float("nan")),
                                   (5, 0.1, float("inf")), (5, float("-inf"), 0.2),
-                                  (5, float("inf"), float("inf"))])
+                                  (5, float("inf"), float("inf")),
+                                  # 1 - beta rounds to 1; alpha_cum underflows to 0
+                                  (50, 1e-17, 0.2), (1, 1e-17, 0.5), (400, 0.85, 0.9)])
 def test_builder_rejects_bad_config(args):
     with pytest.raises(ConfigError):
         build_linear_schedule(*args)
+
+
+def test_builder_accepts_the_strictest_schedules_it_can_represent():
+    # a beta just large enough to move 1 - beta off 1, and a long product
+    # that stays above 0
+    s = build_linear_schedule(2, 1.2e-16, 0.5)
+    assert s.alpha_cum[1] < 1.0 and np.isfinite(s.beta_tilde).all()
+    s = build_linear_schedule(400, 0.8, 0.85)
+    assert s.alpha_cum[-1] > 0 and np.all(np.diff(s.alpha_cum) < 0)
+    assert np.isfinite(s.beta_tilde).all()
 
 
 def test_schedule_is_immutable():
