@@ -158,13 +158,9 @@ def _deterministic_telescoping(rng, n):
         for K in {T, max(1, T // 3)}:
             z0m = rng.uniform(-5, 5, n)
             z0c = rng.uniform(-5, 5, n)
-            predictor = orc.affine_oracle_predictor(z0m, z0c, sched)
-            z = rng.standard_normal(n)
-            steps = sp.substep_schedule(T, K)
-            for i, t in enumerate(steps):
-                t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-                z = sp.accelerated_step(z, predictor(z, None, t), t, t_prev, 0.0, sched)
-            worst = max(worst, float(np.max(np.abs(z - (z0m + z0c)))))
+            chain = sp.accelerated_chain(rng.standard_normal(n), _oracle_eps(z0m, z0c, sched),
+                                         None, sched, sp.substep_schedule(T, K), 0.0, 1.0)
+            worst = max(worst, float(np.max(np.abs(sp.final_state(chain) - (z0m + z0c)))))
     return _audit("deterministic_jump_telescoping", worst, 1e-8)
 
 
@@ -190,37 +186,31 @@ def _forward_compound_gap(sched):
                   condition_coefficient_table=table)
 
 
+def _oracle_eps(z0m, z0c, sched):
+    """The exact noise model as a chain's ``eps_fn(z, t)``."""
+    predictor = orc.affine_oracle_predictor(z0m, z0c, sched)
+    return lambda z, t: predictor(z, None, t)
+
+
 def _pushforward(rng, sched, z0m, z0c, n, steps=None):
-    """The reverse chain under the exact noise model, run on ``n`` draws, must
-    match the affine recursion step by step: each step's mean and variance
-    within four standard errors (the residual is the worse z-score over 4).
-    ``steps=None`` runs the full ancestral chain; descending ``steps`` run the
-    accelerated jumps at eta 1.  ``terminal_gap`` is |mean - exact| + spread
-    at t = 0."""
+    """The sampler's chain under the exact noise model, run on ``n`` draws, must
+    match the affine recursion at each step: mean and variance within four
+    standard errors (the residual is the worse z-score over 4).  ``steps=None``
+    runs the ancestral chain, descending ``steps`` the accelerated one at eta 1.
+    ``terminal_gap`` is |mean - exact| + spread at t = 0."""
     variant = "ancestral" if steps is None else "accelerated"
     states = orc.sampler_pushforward_coeffs(sched, variant, steps)
-    steps = list(range(sched.T, 0, -1)) if steps is None else list(steps)
-    predictor = orc.affine_oracle_predictor(z0m, z0c, sched)
+    eps_fn, draw = _oracle_eps(z0m, z0c, sched), lambda: rng.standard_normal(n)
     z = rng.standard_normal(n)
-    worst_mean = 0.0
-    worst_var_sig = 0.0
-    for i, t in enumerate(steps):
-        eps_hat = predictor(z, None, t)
-        if variant == "ancestral":
-            noise = rng.standard_normal(n) if t > 1 else None
-            z = sp.ancestral_step(z, np.full(n, z0c), t, eps_hat, sched, noise=noise)
-        else:
-            t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-            d = sp.substep_noise_std(sched, t, t_prev)
-            noise = rng.standard_normal(n) if d > 0 else None
-            z = sp.accelerated_step(z, eps_hat, t, t_prev, d, sched, noise=noise)
-        ref = states[i + 1]
+    chain = (sp.ancestral_chain(z, np.full(n, z0c), eps_fn, draw, sched, 1.0) if steps is None
+             else sp.accelerated_chain(z, eps_fn, draw, sched, steps, 1.0, 1.0))
+    worst_mean = worst_var_sig = 0.0
+    for z, ref in zip(chain, states[1:]):
         se = max(np.sqrt(ref.noise_var / n), 1e-12)
         worst_mean = max(worst_mean, abs(float(z.mean()) - ref.mean(z0m, z0c)) / max(4 * se, 1e-8))
         var_se = max(ref.noise_var * np.sqrt(2.0 / (n - 1)), 1e-12)
         worst_var_sig = max(worst_var_sig, abs(float(z.var()) - ref.noise_var) / (4 * var_se))
-    terminal = states[-1]
-    exact = abs(float(z.mean()) - terminal.mean(z0m, z0c)) + float(z.std())
+    exact = abs(float(z.mean()) - states[-1].mean(z0m, z0c)) + float(z.std())
     return _audit(f"{variant}_pushforward", max(worst_mean, worst_var_sig), 1.0,
                   terminal_gap=float(exact))
 

@@ -256,12 +256,13 @@ def _cmd_impute(cfg: RunConfig, out: _OutputDir) -> int:
         raise DataError(f"dataset has {grid.shape[1]} nodes, checkpoint "
                         f"{cfg.checkpoint} was trained on {geometry.n_nodes}")
     rng = np.random.default_rng(cfg.seed)
-    if cfg.sampler == "ancestral" and not (ckpt.config.predict_x0
-                                           or ckpt.config.no_cond_forward):
+    # at T = 1 the two chains are one and the drift is 0 up to rounding
+    if cfg.sampler == "ancestral" and ckpt.sched.T > 1 and not (
+            ckpt.config.predict_x0 or ckpt.config.no_cond_forward):
         drift = orc.ancestral_condition_drift(ckpt.sched)
         print(f"warning: the ancestral chain leaves the marginal this noise-target "
               f"checkpoint was trained on: its condition coefficient drifts by up to "
-              f"{drift:.2f}; --sampler ddim --accelerate-steps {ckpt.sched.T} --eta 1 "
+              f"{drift:.3g}; --sampler ddim --accelerate-steps {ckpt.sched.T} --eta 1 "
               f"stays on it", file=sys.stderr)
     if cfg.sampler == "ancestral":
         result = sp.ancestral_impute(ckpt, grid, graph, cfg.samples, rng)

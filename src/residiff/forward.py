@@ -5,9 +5,9 @@ The closed-form marginal used by training and sampling is
     z_t = sqrt(alpha_cum_t) * (z0m + z0c) + sqrt(1 - alpha_cum_t) * eps
 
 where z0m is the residual grid and z0c the condition grid.  The single-step
-transition (``q_step_sample``) is kept for the audit suite only: compounding
-it does NOT reproduce the marginal's z0c coefficient, a discrepancy the
-oracle module quantifies (see ``oracle.compound_marginal_coeffs``).
+transition (``q_step_sample``) runs only in criterion c06 and its tests:
+compounding it does NOT reproduce the marginal's z0c coefficient, a
+discrepancy the oracle module quantifies (``oracle.compound_marginal_coeffs``).
 
 All operations are pure functions of their inputs plus an explicit RNG and
 accept either plain ndarrays or autodiff Tensors for the grid arguments, so

@@ -1,18 +1,17 @@
 """Reverse sampling of the residual and assembly of probabilistic imputations.
 
-Two samplers share the same checkpoint and denoiser, and each runs one step
-function per reverse step; the derivation audits run those same functions.
-Both steps take a noise estimate, which ``_SamplerSetup.eps_from_output``
-forms from a clean-residual checkpoint's output.
+Each sampler has one chain driver that owns its whole loop (steps, noise
+stds and draws, mask, finiteness check).  ``impute`` and the derivation
+audits run the same drivers, each with its own start state, noise estimate
+``eps_fn(z, t)`` and noise ``draw()``.
 
-  * ancestral (``ancestral_step``): full-length reverse chain; each step
-    takes the noise-parameterized posterior mean and adds noise with the
-    posterior std (zero at the last step).
-  * accelerated (``accelerated_step``): non-Markovian jumps over an evenly
-    spaced descending subsequence of steps ending at 1, with coefficients
-    from ``jump_coeffs``.  The jump noise std defaults to the generalized
-    posterior std between consecutive subsequence elements, scaled by eta in
-    [0, 1] (eta = 0 gives the deterministic limit).
+  * ancestral (``ancestral_chain``): full-length reverse chain; each
+    ``ancestral_step`` takes the noise-parameterized posterior mean and adds
+    noise with the posterior std (zero at the last step).
+  * accelerated (``accelerated_chain``): non-Markovian ``accelerated_step``
+    jumps over a descending subsequence of steps ending at 1, with
+    coefficients from ``jump_coeffs`` and noise std the generalized
+    posterior std between consecutive elements times eta in [0, 1].
 
 Under the conditioned forward marginal both chains end at residual +
 condition (z0m + z0c, with the condition zeroed under ``no_cond_forward``),
@@ -29,13 +28,13 @@ in scores is bounded by ``ad.attention``'s blocks, not by the call size.  Each
 sample chain owns an RNG stream derived from (root seed, sample index), and a
 window's prediction does not depend on the other windows in its call, so
 results do not depend on how windows split into calls.  Chains start from
-standard normal noise on target cells, and every reverse step zeroes the
-new state outside them; visible cells pass through untouched in every
-sample.  A non-finite state raises ``NumericError`` naming the step.
+standard normal noise on target cells and the mask zeroes every new state
+outside them, so visible cells pass through untouched in every sample.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +51,16 @@ from .schedule import NoiseSchedule
 __all__ = [
     "ImputationResult",
     "ancestral_step",
+    "ancestral_chain",
     "ancestral_impute",
     "initial_only_impute",
     "jump_coeffs",
     "substep_schedule",
     "substep_noise_std",
     "accelerated_step",
+    "accelerated_chain",
     "accelerated_impute",
+    "final_state",
     "check_sampling",
 ]
 
@@ -127,6 +129,40 @@ def accelerated_step(z_t, eps_hat, t: int, t_prev: int, d: float,
             raise ValueError(f"jump {t}->{t_prev} has noise std {d} but no noise")
         out = out + d * np.asarray(noise)
     return out
+
+
+def _check_finite(z: np.ndarray, step: str) -> None:
+    """One pass over the chain state; a diverged chain is a NumericError."""
+    if not np.isfinite(z).all():
+        raise NumericError(f"sampling chain went non-finite at {step}")
+
+
+def ancestral_chain(z, z0c, eps_fn, draw, sched: NoiseSchedule, keep):
+    """``ancestral_step`` from state ``z`` at T down to 1, yielding each new
+    state times ``keep``; a noise ``draw()`` is taken for t > 1."""
+    for t in range(sched.T, 0, -1):
+        eps_hat = eps_fn(z, t)
+        noise = draw() if t > 1 else None
+        z = ancestral_step(z, z0c, t, eps_hat, sched, noise=noise) * keep
+        _check_finite(z, f"ancestral step t={t}")
+        yield z
+
+
+def accelerated_chain(z, eps_fn, draw, sched: NoiseSchedule, steps, eta: float, keep):
+    """``accelerated_step`` jumps from ``z`` over descending ``steps``, then to 0,
+    yielding each new state times ``keep``; noise std is ``substep_noise_std``."""
+    for t, t_prev in zip(steps, [*steps[1:], 0]):
+        d = substep_noise_std(sched, t, t_prev, eta)
+        eps_hat = eps_fn(z, t)
+        noise = draw() if d > 0 else None
+        z = accelerated_step(z, eps_hat, t, t_prev, d, sched, noise=noise) * keep
+        _check_finite(z, f"accelerated step {t}->{t_prev}")
+        yield z
+
+
+def final_state(chain):
+    """A chain's terminal state, holding one state at a time."""
+    return deque(chain, maxlen=1).pop()
 
 
 Q_LEVELS = (0.05, 0.95)  # the quantile band every imputation reports
@@ -204,6 +240,10 @@ class _SamplerSetup:
         acum = float(self.sched.alpha_cum[t])
         return (z - np.sqrt(acum) * (net_out + self.z0c_chain)) / np.sqrt(1.0 - acum)
 
+    def eps(self, z: np.ndarray, t: int) -> np.ndarray:
+        """The noise estimate at state ``z``: the chains' ``eps_fn``."""
+        return self.eps_from_output(self.predict(z, t), z, t)
+
     def finalize(self, terminal: np.ndarray) -> ImputationResult:
         """Combine terminal chain states with the rough fill and score.
 
@@ -232,20 +272,10 @@ def initial_only_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph) -> np.nda
     return np.where(setup.visible, x.values, dt.denormalize(setup.z0c, setup.stats))
 
 
-def _sample_rngs(rng: np.random.Generator, s_count: int) -> list[np.random.Generator]:
-    seq = rng.bit_generator.seed_seq.spawn(s_count)
-    return [np.random.default_rng(s) for s in seq]
-
-
-def _draw(rngs: list[np.random.Generator], shape) -> np.ndarray:
-    """One standard-normal grid per sample chain, from that chain's stream."""
-    return np.stack([r.standard_normal(shape) for r in rngs])
-
-
-def _check_finite(z: np.ndarray, step: str) -> None:
-    """One pass over the chain state; a diverged chain is a NumericError."""
-    if not np.isfinite(z).all():
-        raise NumericError(f"sampling chain went non-finite at {step}")
+def _chain_draw(rng: np.random.Generator, S: int, shape):
+    """``draw()`` of one standard-normal grid per sample chain, from its own stream."""
+    rngs = [np.random.default_rng(seq) for seq in rng.bit_generator.seed_seq.spawn(S)]
+    return lambda: np.stack([r.standard_normal(shape) for r in rngs])
 
 
 def check_sampling(S: int, eta: float = 1.0) -> None:
@@ -265,15 +295,9 @@ def ancestral_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, S: int,
     """Full-length reverse sampling of S imputations (Alg-style ancestral)."""
     check_sampling(S)
     setup = _SamplerSetup(checkpoint, x, graph, S)
-    sched = setup.sched
-    rngs = _sample_rngs(rng, S)
-    z = _draw(rngs, x.shape) * setup.targetf
-    for t in range(sched.T, 0, -1):
-        eps_hat = setup.eps_from_output(setup.predict(z, t), z, t)
-        noise = _draw(rngs, x.shape) if t > 1 else None
-        z = ancestral_step(z, setup.z0c_chain, t, eps_hat, sched, noise) * setup.targetf
-        _check_finite(z, f"ancestral step t={t}")
-    return setup.finalize(z)
+    draw = _chain_draw(rng, S, x.shape)
+    return setup.finalize(final_state(ancestral_chain(
+        draw() * setup.targetf, setup.z0c_chain, setup.eps, draw, setup.sched, setup.targetf)))
 
 
 def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, K: int,
@@ -282,15 +306,7 @@ def accelerated_impute(checkpoint, x: dt.MaskedGrid, graph: dt.Graph, K: int,
     """Accelerated sampling over K evenly spaced sub-steps."""
     check_sampling(S, eta)
     setup = _SamplerSetup(checkpoint, x, graph, S)
-    sched = setup.sched
-    steps = substep_schedule(sched.T, K)
-    rngs = _sample_rngs(rng, S)
-    z = _draw(rngs, x.shape) * setup.targetf
-    for i, t in enumerate(steps):
-        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-        d = substep_noise_std(sched, t, t_prev, eta)
-        eps_hat = setup.eps_from_output(setup.predict(z, t), z, t)
-        noise = _draw(rngs, x.shape) if d > 0 else None
-        z = accelerated_step(z, eps_hat, t, t_prev, d, sched, noise) * setup.targetf
-        _check_finite(z, f"accelerated step {t}->{t_prev}")
-    return setup.finalize(z)
+    steps = substep_schedule(setup.sched.T, K)
+    draw = _chain_draw(rng, S, x.shape)
+    return setup.finalize(final_state(accelerated_chain(
+        draw() * setup.targetf, setup.eps, draw, setup.sched, steps, eta, setup.targetf)))

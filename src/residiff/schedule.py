@@ -45,7 +45,7 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
     to pass the range check.
     """
     if T < 1:
-        raise ConfigError(f"step count must be >= 1, got {T}")
+        raise ConfigError(f"diffusion step count must be >= 1, got {T}")
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ConfigError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})"

@@ -139,8 +139,6 @@ class TrainConfig:
             raise ConfigError("batch size must be >= 1")
         if self.n_window < 1:
             raise ConfigError("window length must be >= 1")
-        if self.t_steps < 1:
-            raise ConfigError("diffusion step count must be >= 1")
         if self.epochs < 0 or self.pretrain_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.init_hidden < 1:

@@ -76,9 +76,10 @@ def _statement_lines(code):
 
 
 def test_verify_runs_every_statement_of_both_reverse_steps():
-    """What a sampler runs in a reverse step, ``verify`` checks: every branch
-    of the two step functions but the missing-noise errors."""
-    ran = {sp.ancestral_step.__code__: set(), sp.accelerated_step.__code__: set()}
+    """What a sampler runs, ``verify`` checks: every statement of both chain
+    drivers and both reverse steps but the steps' missing-noise errors."""
+    ran = {f.__code__: set() for f in (sp.ancestral_chain, sp.accelerated_chain,
+                                        sp.ancestral_step, sp.accelerated_step)}
 
     def lines(frame, event, _):
         if event == "line":

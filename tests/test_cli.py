@@ -87,11 +87,14 @@ def test_impute_accelerated_sampler(pipeline, tmp_path):
 def test_impute_warns_once_on_the_ancestral_chain_of_a_noise_target_checkpoint(
         pipeline, tmp_path, capsys):
     _, _, dsm, run = pipeline
-    x0_run = tmp_path / "x0"
-    assert main(["train", "--data", str(dsm), "--out", str(x0_run), "--seed", "0",
-                 "--predict-x0", "true", *FAST_TRAIN]) == 0
+    x0_run, t1_run = tmp_path / "x0", tmp_path / "t1"
+    for out, flags in ((x0_run, ["--predict-x0", "true"]), (t1_run, ["--t-steps", "1"])):
+        assert main(["train", "--data", str(dsm), "--out", str(out), "--seed", "0",
+                     *FAST_TRAIN, *flags]) == 0
     capsys.readouterr()
-    pairs = [(run, "ancestral", True), (run, "ddim", False), (x0_run, "ancestral", False)]
+    # at T = 1 the ancestral and ddim chains are one chain, with no drift
+    pairs = [(run, "ancestral", True), (run, "ddim", False), (x0_run, "ancestral", False),
+             (t1_run, "ancestral", False)]
     for i, (checkpoint_dir, sampler, warns) in enumerate(pairs):
         assert main(["impute", "--data", str(dsm), "--checkpoint",
                      str(checkpoint_dir / "checkpoint.bin"), "--out", str(tmp_path / f"imp{i}"),
@@ -827,7 +830,7 @@ def test_impute_peak_rss_at_207_nodes(tmp_path):
 @pytest.mark.parametrize("command", ["train", "pretrain"])
 @pytest.mark.parametrize("flags", [("--d", "30", "--head-count", "4"),
                                    ("--conv-width", "4"), ("--beta-max", "2"),
-                                   ("--beta-min", "0")])
+                                   ("--beta-min", "0"), ("--t-steps", "0")])
 def test_bad_denoiser_shape_exits_2_before_pretraining(pipeline, tmp_path, capsys,
                                                        monkeypatch, command, flags):
     from residiff import trainer as tr

@@ -53,3 +53,14 @@ def test_one_module_builds_each_checkpoint_and_schedule():
         assert "warnings" not in _imports(tree), path.name
         assert path.name == "trainer.py" or not _calls(tree, "Checkpoint"), path.name
         assert path.name == "schedule.py" or not _calls(tree, "NoiseSchedule"), path.name
+
+
+def test_every_source_parses_as_the_oldest_supported_python():
+    """pyproject.toml declares Python >= 3.10, so every .py here must parse with
+    3.10's grammar (no ``except*``, no PEP 695 type parameters).  This catches
+    syntax only, not a call into a library API that 3.10 lacks."""
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for d in ("src", "tests", "demos", "perfbench") for p in (root / d).rglob("*.py")]
+    assert len(sources) > 30
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
